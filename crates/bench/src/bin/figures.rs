@@ -6,7 +6,7 @@
 //! cargo run --release -p incll-bench --bin figures -- --plot [results/BENCH_results.json] [--out DIR]
 //!
 //! experiments:
-//!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 flushcost recovery ablation
+//!   fig2 fig3 fig4 fig5 fig6 fig7 fig8 flushcost recovery ablation micro
 //!   shard_scaling epoch_domains recovery_latency read_path txn_batches
 //!   extent_growth adaptive_cadence server_scaling all
 //!
@@ -108,7 +108,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: figures <fig2|fig3|fig4|fig5|fig6|fig7|fig8|flushcost|recovery|ablation\
-         |shard_scaling|epoch_domains|recovery_latency|read_path|txn_batches\
+         |micro|shard_scaling|epoch_domains|recovery_latency|read_path|txn_batches\
          |extent_growth|adaptive_cadence|server_scaling|all> \
          [--paper] [--scale F] [--keys N] [--ops N] [--threads N] [--out DIR]\n\
          \x20      figures --compare OLD.json NEW.json [--regressions-only]\n\
@@ -309,6 +309,7 @@ fn main() {
             "flushcost" => ("flushcost", vec![experiments::flush_cost(p)]),
             "recovery" => ("recovery", vec![experiments::recovery_time(p)]),
             "ablation" => ("ablation", vec![experiments::ablation_internal(p)]),
+            "micro" => ("micro", vec![experiments::micro(p)]),
             "shard_scaling" => ("shard_scaling", vec![experiments::shard_scaling(p)]),
             "epoch_domains" => ("epoch_domains", vec![experiments::epoch_domains(p)]),
             "recovery_latency" => ("recovery_latency", vec![experiments::recovery_latency(p)]),
@@ -346,6 +347,7 @@ fn main() {
             "flushcost",
             "recovery",
             "ablation",
+            "micro",
             "shard_scaling",
             "epoch_domains",
             "recovery_latency",

@@ -1,8 +1,9 @@
 //! One function per paper figure / in-text table (§6).
 //!
-//! Each returns a [`Table`] (and prints it) so the `figures` binary, the
-//! Criterion benches and EXPERIMENTS.md all share one source of truth.
+//! Each returns a [`Table`] (and prints it), so the `figures` binary is
+//! the one source of truth for every number.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use incll_ycsb::{load, run, run_with_reads, Dist, Mix, ReadMode, RunConfig};
@@ -39,16 +40,6 @@ impl ExpParams {
             keys: 1_000_000,
             ops_per_thread: 100_000,
             threads: 4,
-            seed: 42,
-        }
-    }
-
-    /// Tiny parameters for `cargo bench` smoke runs.
-    pub fn quick() -> Self {
-        ExpParams {
-            keys: 20_000,
-            ops_per_thread: 10_000,
-            threads: 2,
             seed: 42,
         }
     }
@@ -469,6 +460,118 @@ pub fn flush_cost(p: &ExpParams) -> Table {
         "fraction of a 64ms epoch".into(),
         format!("{frac:.2}% (paper: 2.2%)"),
     ]);
+    t.print();
+    t
+}
+
+// =====================================================================
+// Micro — per-operation cost
+// =====================================================================
+
+/// Mean wall time of `f(0..n)`, in ns per call.
+fn mean_ns(n: u64, mut f: impl FnMut(u64)) -> f64 {
+    let t0 = Instant::now();
+    for i in 0..n {
+        f(i);
+    }
+    t0.elapsed().as_nanos() as f64 / n.max(1) as f64
+}
+
+/// Per-operation latency of MT+ and INCLL on one thread — the micro view
+/// of the abstract's "5.9–15.4 % runtime overhead": get, update, 10-key
+/// scan and an insert/remove pair (which exercises InCLLp and the
+/// remove-insert fallback) over a tree preloaded with `keys` keys, plus
+/// the byte-value `Store` put/get path (INCLL only). Each op runs
+/// `ops_per_thread` times under the default 64 ms epochs with a free
+/// checkpoint flush; the table reports the mean.
+pub fn micro(p: &ExpParams) -> Table {
+    let mut t = Table::new(
+        "Micro: mean ns per op, one thread, 64 ms epochs, free flush",
+        &["op", "MT+_ns", "INCLL_ns", "INCLL vs MT+"],
+    );
+    let (keys, n) = (p.keys, p.ops_per_thread);
+    let mut cfg = SystemConfig::new(keys, 1);
+    cfg.wbinvd_ns = 0;
+    let mtp = build_mtplus(&cfg);
+    let inc = build_incll(&cfg);
+    let mctx = mtp.tree.thread_ctx(0);
+    let ictx = inc.tree.thread_ctx(0).expect("slot 0 exists");
+    let key = |i: u64| incll_ycsb::storage_key(i % keys);
+    for i in 0..keys {
+        mtp.tree.put(&mctx, &key(i), i);
+        inc.tree.put(&ictx, &key(i), i);
+    }
+    // Fresh keys past the loaded range, so each pair inserts then removes.
+    let fresh = |i: u64| (keys + i % 1000).to_be_bytes();
+    let pairs = [
+        (
+            "get",
+            mean_ns(n, |i| {
+                black_box(mtp.tree.get(&mctx, &key(i)));
+            }),
+            mean_ns(n, |i| {
+                black_box(inc.tree.get(&ictx, &key(i)));
+            }),
+        ),
+        (
+            "update",
+            mean_ns(n, |i| {
+                mtp.tree.put(&mctx, &key(i), i);
+            }),
+            mean_ns(n, |i| {
+                inc.tree.put(&ictx, &key(i), i);
+            }),
+        ),
+        (
+            "scan10",
+            mean_ns(n, |i| {
+                mtp.tree.scan(&mctx, &key(i), 10, &mut |k, v| {
+                    black_box((k, v));
+                });
+            }),
+            mean_ns(n, |i| {
+                inc.tree.scan(&ictx, &key(i), 10, &mut |k, v| {
+                    black_box((k, v));
+                });
+            }),
+        ),
+        (
+            "insert_remove",
+            mean_ns(n, |i| {
+                mtp.tree.put(&mctx, &fresh(i), i);
+                mtp.tree.remove(&mctx, &fresh(i));
+            }),
+            mean_ns(n, |i| {
+                inc.tree.put(&ictx, &fresh(i), i);
+                inc.tree.remove(&ictx, &fresh(i));
+            }),
+        ),
+    ];
+    for (op, mt, ic) in pairs {
+        t.push(vec![
+            op.into(),
+            format!("{mt:.0}"),
+            format!("{ic:.0}"),
+            pct(mt, ic),
+        ]);
+    }
+    // The session pool and `thread_ctx` hand out the same per-thread
+    // slots without coordinating, so the raw ctx must be gone before a
+    // session (with one configured thread, both would be slot 0).
+    drop(ictx);
+    let sess = inc.store.session().expect("session pool is untouched");
+    let payload = [7u8; 100];
+    let put = mean_ns(n, |i| {
+        inc.store
+            .put(&sess, &key(i), &payload)
+            .expect("fits a size class");
+    });
+    let get = mean_ns(n, |i| {
+        black_box(inc.store.get(&sess, &key(i)));
+    });
+    for (op, ns) in [("store_put_100b", put), ("store_get_100b", get)] {
+        t.push(vec![op.into(), "-".into(), format!("{ns:.0}"), "-".into()]);
+    }
     t.print();
     t
 }

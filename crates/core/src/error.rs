@@ -80,6 +80,15 @@ pub enum Error {
         /// The largest supported batch ([`crate::MAX_BATCH_OPS`]).
         max: usize,
     },
+    /// A superblock word holds a value no store could have written (a
+    /// torn or foreign copy, a bit flip): opening refuses it before
+    /// writing anything.
+    CorruptMedia {
+        /// The superblock field that failed validation.
+        field: &'static str,
+        /// The value found on media.
+        found: u64,
+    },
     /// An internal subsystem reported a condition with no dedicated
     /// variant (future-proofing against `#[non_exhaustive]` sources).
     Internal(String),
@@ -137,6 +146,9 @@ impl std::fmt::Display for Error {
                      maximum"
                 )
             }
+            Error::CorruptMedia { field, found } => {
+                write!(f, "corrupt superblock: {field} is {found:#x}")
+            }
             Error::Internal(what) => write!(f, "internal error: {what}"),
         }
     }
@@ -167,6 +179,9 @@ impl From<incll_palloc::Error> for Error {
                 size: size.saturating_sub(8),
                 max: MAX_VALUE_BYTES,
             },
+            incll_palloc::Error::CorruptDescriptor { field, found } => {
+                Error::CorruptMedia { field, found }
+            }
             other => Error::Internal(other.to_string()),
         }
     }
@@ -205,6 +220,10 @@ mod tests {
                 limit: 4,
                 waited: std::time::Duration::from_millis(50),
             },
+            Error::CorruptMedia {
+                field: "extent count",
+                found: 999,
+            },
         ];
         for e in errs {
             let s = e.to_string();
@@ -219,6 +238,12 @@ mod tests {
         assert!(matches!(e, Error::ValueTooLarge { .. }));
         let e: Error = incll_palloc::Error::Pmem(incll_pmem::Error::FailedEpochSetFull).into();
         assert_eq!(e, Error::Pmem(incll_pmem::Error::FailedEpochSetFull));
+        let e: Error = incll_palloc::Error::CorruptDescriptor {
+            field: "extent size",
+            found: 3,
+        }
+        .into();
+        assert!(matches!(e, Error::CorruptMedia { found: 3, .. }));
     }
 
     #[test]

@@ -128,7 +128,7 @@
 //!   [`ShardReplay::replay_time`] report what ran); the crash-matrix
 //!   suite asserts the equivalence cell by cell.
 //! * **Allocation is per-shard too — and grows online.** Each shard owns
-//!   a **chain of extents** claimed from a shared pool (superblock v6):
+//!   a **chain of extents** claimed from a shared pool:
 //!   the carvable arena is split into fixed-size power-of-two extents
 //!   with a durable owner byte per extent on dedicated superblock lines.
 //!   A shard carves from its active extent with its own InCLL-logged
@@ -151,8 +151,9 @@
 //!   still un-carve within their owning extent instead of leaking.
 //!
 //! `shards(1)` has a single domain and reproduces the paper's semantics
-//! (and media behavior) exactly: one barrier, one whole-cache flush, one
-//! boundary, one carve frontier.
+//! exactly: one barrier, one whole-cache flush, one boundary, one carve
+//! frontier. It uses the same media layout as any other shard count: one
+//! entry in each per-shard table and a one-owner extent pool.
 //!
 //! # Cadence tuning and persistence granularity
 //!
@@ -392,7 +393,7 @@
 //! |--------|-----|
 //! | `superblock::format` + `DurableMasstree::create` / `open` | [`Store::open`] (format-if-empty, create-or-recover) |
 //! | `DurableConfig { .. }` | [`Options`] builder |
-//! | one tree behind `SB_TREE_ROOT` | [`Options::shards`]`(n)` — n root holders + n epoch-domain cells, fixed at format; `shards(1)` keeps the legacy cell positions |
+//! | one tree behind a single root holder | [`Options::shards`]`(n)` — n root holders + n epoch-domain cells, fixed at format (`shards(1)` is the one-entry case) |
 //! | `tree.thread_ctx(tid).unwrap()` (unchecked `tid`) | [`Store::session`] (bounded RAII pool) |
 //! | `tree.put(&ctx, k, u64)` | [`Store::put`] (`&[u8]`) or [`Store::put_u64`] (both shard-routed) |
 //! | `tree.get(&ctx, k)` + per-get allocation | [`Store::get`], [`Store::get_into`] reusing a caller buffer, or zero-copy [`Store::get_ref`] (all routed through the borrowed read path) |
@@ -403,10 +404,12 @@
 //! | one shared carve frontier, sequential replay (layout v3) | **per-shard allocator arenas** (layout v4): one carve region + InCLL watermark line per shard (doomed slabs un-carve; the multi-domain eager watermark flush is gone), and [`Options::recovery_threads`] replays shards in parallel (`INCLL_RECOVERY_THREADS` env default) |
 //! | cross-shard multi-key writes only via the `checkpoint()` barrier (layout v4) | **atomic write batches** (layout v5): [`Session::batch`] stages puts/deletes, commits via log intents + one durable batch-table record, and recovery redoes-or-drops in-doubt batches per shard — see "Batch atomicity and crash semantics" |
 //! | one static carve region per shard, `OutOfMemory` at its boundary (layout v5) | **chunked extent pool** (layout v6): the carvable arena is fixed-size power-of-two extents with a durable owner byte each; a shard that exhausts its active extent claims the next free one online (flushed owner-byte CAS — never torn), so hot shards grow until the *pool* is empty and recovery rebuilds each shard's extent chain from the table — see the crash-semantics section above |
+//! | `shards(1)` on separate shard-0 cells and the arena's shared carve frontier (layout v6) | **one layout for every shard count** (layout v7): shard 0's root holder, epoch cells (with the full 119-entry failed-epoch set every shard now has) and watermark line sit in the uniform per-shard tables, and a one-shard store carves from a one-owner extent pool, so [`Store::extent_stats`] is always `Some` |
 //! | leaked `incll_palloc::Error` | crate-wide [`Error`] (incl. [`Error::ShardMismatch`], [`Error::UnsupportedLayout`]) |
 //!
-//! On-media layouts are version-screened: v6 (this build) refuses v1–v5
-//! media with a typed [`Error::UnsupportedLayout`] — never a reformat.
+//! On-media layouts are version-screened: v7 (this build) refuses v1–v6
+//! media with a typed [`Error::UnsupportedLayout`] — never a reformat —
+//! and a corrupt allocator descriptor with [`Error::CorruptMedia`].
 //!
 //! [`DurableMasstree`] remains public as the mid-level API, but it speaks
 //! to **one shard's** tree ([`Store::masstree`] and [`Session::ctx`] are

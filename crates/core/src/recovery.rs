@@ -199,8 +199,10 @@ impl DurableMasstree {
     /// Fails if a shard's failed-epoch set is full
     /// ([`incll_pmem::Error::FailedEpochSetFull`] — only possible after
     /// many crashes with **no** completed checkpoint in between, since
-    /// checkpoints compact the sets), or with [`Error::ShardMismatch`]
-    /// when `config.shards` differs from the count fixed at create.
+    /// checkpoints compact the sets), with [`Error::ShardMismatch`]
+    /// when `config.shards` differs from the count fixed at create, or
+    /// with [`Error::CorruptMedia`] when the allocator's superblock
+    /// descriptor fails validation (nothing is written then).
     ///
     /// # Panics
     ///
@@ -220,6 +222,9 @@ impl DurableMasstree {
                 on_media,
             });
         }
+        // The allocator descriptor is checked before the first media write
+        // below: a corrupt one is refused with the arena untouched.
+        let alloc_desc = PAlloc::read_descriptor(arena, on_media)?;
         let workers = config.recovery_threads.max(1).min(on_media);
 
         let log = ExtLog::open(arena);
@@ -261,7 +266,7 @@ impl DurableMasstree {
         // restarted) durable counters, and the allocator snapshots the
         // (now complete) failed-epoch sets.
         let mgr = EpochManager::with_domains(arena.clone(), EpochOptions::durable(), on_media);
-        let alloc = PAlloc::open_staged(arena, on_media);
+        let alloc = PAlloc::open_staged(arena, alloc_desc);
 
         // Phase 2 (parallel over shards): replay the shard's own log
         // buffers, re-derive parent pointers from its restored interiors,

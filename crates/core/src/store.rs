@@ -328,7 +328,9 @@ impl Store {
     /// superblock of a different on-media version (e.g. pre-shard media —
     /// never silently reformatted); [`Error::InvalidShardCount`] /
     /// [`Error::ShardMismatch`] when [`Options::shards`] is malformed or
-    /// disagrees with the count fixed at format time.
+    /// disagrees with the count fixed at format time;
+    /// [`Error::CorruptMedia`] when the allocator's superblock descriptor
+    /// is corrupt (the arena is left unwritten).
     pub fn open(arena: &PArena, options: Options) -> Result<(Store, RecoveryReport), Error> {
         let config = options.to_config();
         // Reject malformed options before any media write: a blank arena
@@ -763,12 +765,13 @@ impl Store {
     /// Extent-pool observability: the pool descriptor
     /// `(pool_base, extent_bytes, extent_count)` plus the number of
     /// extents each shard currently owns (create claims one per shard;
-    /// hot shards claim more online). `None` on `shards(1)`, which
-    /// carves from the arena's single implicit chain. Diagnostics /
-    /// experiments.
+    /// hot shards claim more online). Diagnostics / experiments.
+    ///
+    /// Always `Some`: every store, `shards(1)` included, carves from the
+    /// extent pool. The `Option` return type stays for API stability.
     pub fn extent_stats(&self) -> Option<ExtentStats> {
         let alloc = self.shards[0].allocator();
-        let (pool_base, extent_bytes, extent_count) = alloc.extent_pool()?;
+        let (pool_base, extent_bytes, extent_count) = alloc.extent_pool();
         Some(ExtentStats {
             pool_base,
             extent_bytes,
@@ -831,7 +834,7 @@ pub struct ShardStats {
     pub current_interval: Option<Duration>,
 }
 
-/// Extent-pool snapshot ([`Store::extent_stats`]): the superblock v6
+/// Extent-pool snapshot ([`Store::extent_stats`]): the superblock
 /// pool descriptor plus each shard's current chain length, read from the
 /// durable owner table.
 #[derive(Debug, Clone, PartialEq, Eq)]

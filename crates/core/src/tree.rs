@@ -407,9 +407,9 @@ impl DurableMasstree {
         crate::tree::validate_shard_count(config.shards)?;
         // One epoch domain, one log buffer set and one allocator list set
         // per shard: every shard checkpoints on its own timeline. The log
-        // region is carved *before* the allocator: a multi-domain
-        // allocator splits all remaining carvable space into per-shard
-        // regions and must be the last create-time carver.
+        // region is carved *before* the allocator: the allocator turns all
+        // remaining carvable space into its extent pool and must be the
+        // last create-time carver.
         let mgr = EpochManager::with_domains(arena.clone(), EpochOptions::durable(), config.shards);
         let log = ExtLog::create_sharded(
             arena,
@@ -420,6 +420,7 @@ impl DurableMasstree {
         log.set_persistence_granularity(config.persistence_granularity as u64);
         let alloc = PAlloc::create_sharded(arena, config.threads, config.shards)?;
         let epoch = mgr.current_epoch();
+        let exec_epochs = (0..config.shards).map(|s| mgr.exec_epoch_of(s)).collect();
 
         let inner = Arc::new(Inner {
             arena: arena.clone(),
@@ -427,7 +428,7 @@ impl DurableMasstree {
             alloc,
             log,
             failed: vec![Vec::new(); config.shards],
-            exec_epochs: vec![arena.pread_u64(superblock::SB_EXEC_EPOCH).max(1); config.shards],
+            exec_epochs,
             rec_locks: (0..REC_LOCKS).map(|_| Mutex::new(())).collect(),
             incll_enabled: config.incll_enabled,
             shard_count: config.shards,

@@ -33,18 +33,18 @@
 //! under the shard's epoch, spliced at the shard's boundary, repaired
 //! against the shard's failed set.
 //!
-//! The bump **watermark** is per shard too, and since superblock layout
-//! v6 the carvable space behind it is a **chunked extent pool**: a
-//! multi-domain allocator turns the arena's remaining space into a pool
-//! of fixed-size power-of-two extents ([`PAlloc::create_sharded`] must
-//! therefore be the last create-time carver) and each shard carves from
-//! a chain of extents it *claims online* from the shared durable
-//! extent-owner table ([`incll_pmem::superblock::SB_EXTENT_OWNERS`]) —
-//! one byte per extent on dedicated cache lines, claimed lowest-index
-//! first with a CAS-then-`clwb`/`sfence` so a crash mid-claim shows
-//! either an owned extent or a free one, never a torn owner. Each shard
-//! keeps its own carve frontier with its own durable InCLL watermark
-//! triple on a dedicated cache line
+//! The bump **watermark** is per shard too, and the carvable space
+//! behind it is a **chunked extent pool**: every allocator — one domain
+//! or many — turns the arena's remaining space into a pool of fixed-size
+//! power-of-two extents ([`PAlloc::create_sharded`] must therefore be the
+//! last create-time carver) and each shard carves from a chain of extents
+//! it *claims online* from the shared durable extent-owner table
+//! ([`incll_pmem::superblock::SB_EXTENT_OWNERS`]) — one byte per extent on
+//! dedicated cache lines, claimed lowest-index first with a
+//! CAS-then-`clwb`/`sfence` so a crash mid-claim shows either an owned
+//! extent or a free one, never a torn owner. A one-domain allocator is
+//! simply a pool with one owner. Each shard keeps its own carve frontier
+//! with its own durable InCLL watermark triple on a dedicated cache line
 //! ([`incll_pmem::superblock::shard_bump_off`]). Slab carves never cross
 //! shards, the frontier's epoch tag lives on the owning shard's own
 //! timeline, and the paper's flush-free watermark protocol applies per
@@ -60,12 +60,11 @@
 //! extent on the owning shard's **reserve** chain, reused before any new
 //! claim — so recovery rebuilds each shard's chain from the owner table
 //! with zero media writes, byte-identical at every recovery worker
-//! count. [`Error::Pmem`]`(OutOfMemory)` from the carve path now means
-//! the **pool** is exhausted (every extent claimed and the shard's chain
-//! full), not that a fixed create-time region filled while siblings sat
-//! on free space. Single-domain allocators keep the paper's single
-//! shared frontier and media shape exactly (one implicit extent chain:
-//! the whole arena).
+//! count. [`Error::Pmem`]`(OutOfMemory)` from the carve path means the
+//! **pool** is exhausted (every extent claimed and the shard's chain
+//! full). Reopening validates the allocator's superblock descriptor
+//! first ([`PAlloc::read_descriptor`]): corrupt words are a typed
+//! [`Error::CorruptDescriptor`], never a panic.
 //!
 //! # Example
 //!
@@ -113,6 +112,14 @@ pub enum Error {
         /// The offending request, in bytes.
         size: usize,
     },
+    /// A word of the allocator's superblock descriptor holds a value no
+    /// allocator could have written ([`PAlloc::read_descriptor`]).
+    CorruptDescriptor {
+        /// The descriptor field that failed validation.
+        field: &'static str,
+        /// The value found on media.
+        found: u64,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -124,6 +131,9 @@ impl std::fmt::Display for Error {
                 "allocation of {size} bytes exceeds the largest size class ({})",
                 CLASS_SIZES[NUM_CLASSES - 1]
             ),
+            Error::CorruptDescriptor { field, found } => {
+                write!(f, "corrupt allocator descriptor: {field} is {found:#x}")
+            }
         }
     }
 }
@@ -149,7 +159,7 @@ pub const DEFAULT_EXTENT_BYTES: u64 = 1 << 20;
 /// hold at least one object of the largest class plus alignment slack.
 pub const MIN_EXTENT_BYTES: u64 = 64 * 1024;
 
-/// The extent pool a multi-domain allocator carves from (v6 media).
+/// The extent pool an allocator carves from.
 #[derive(Debug, Clone, Copy)]
 struct Pool {
     /// Base offset of extent 0 (64-aligned).
@@ -172,33 +182,41 @@ impl Pool {
     }
 }
 
+/// An allocator's superblock descriptor, validated by
+/// [`PAlloc::read_descriptor`]; [`PAlloc::open_staged`] reopens from it.
+#[derive(Debug)]
+pub struct Descriptor {
+    root: u64,
+    nthreads: usize,
+    ndomains: usize,
+    pool: Pool,
+}
+
 struct Inner {
     arena: PArena,
     /// Base of the head-cell region:
     /// `nthreads × ndomains × TOTAL_CLASSES` cache lines.
     root: u64,
     nthreads: usize,
-    /// Epoch domains (1 = the legacy single-timeline allocator).
+    /// Epoch domains (one per shard).
     ndomains: usize,
     /// Low 32 bits of every durable failed epoch, per domain (object
     /// headers store 32-bit epochs).
     failed_low32: Vec<Vec<u32>>,
     /// Full failed epochs, per domain (head cells store full epochs).
     failed_full: Vec<Vec<u64>>,
-    /// The shared extent pool. Multi-domain only (the v6 layout); `None`
-    /// for a single-domain allocator, which carves from the arena's
-    /// shared frontier.
-    pool: Option<Pool>,
+    /// The shared extent pool.
+    pool: Pool,
     /// Per-domain transient carve frontier, mirroring the domain's durable
-    /// watermark. Multi-domain only.
+    /// watermark.
     frontier: Vec<AtomicU64>,
     /// Per-domain end of the *active* extent (the one the frontier is
-    /// inside); the frontier may carve up to it. Multi-domain only.
+    /// inside); the frontier may carve up to it.
     limit: Vec<AtomicU64>,
     /// Per-domain reserve chain: owned-but-not-yet-active extent indices
     /// in ascending order (claims are strictly lowest-index-first and
     /// extents are never released, so ascending order is canonical).
-    /// Activated front-first before any new claim. Multi-domain only.
+    /// Activated front-first before any new claim.
     reserve: Vec<Mutex<Vec<u32>>>,
     /// Serialises each domain's durable-watermark updates (slab carving is
     /// rare); one lock per domain so carves never contend across shards.
@@ -212,8 +230,8 @@ pub struct PAlloc {
 }
 
 impl PAlloc {
-    /// Creates a fresh allocator over a formatted arena, carving the
-    /// head-cell region and initialising the durable watermark.
+    /// Creates a fresh one-domain allocator over a formatted arena. See
+    /// [`PAlloc::create_sharded`].
     ///
     /// # Errors
     ///
@@ -232,13 +250,13 @@ impl PAlloc {
     /// tags live entirely on `d`'s epoch timeline. See the crate docs'
     /// epoch-domains section.
     ///
-    /// With more than one domain the allocator also turns the rest of the
-    /// arena into the **extent pool**: all remaining carvable space
+    /// The allocator always turns the rest of the arena into the **extent
+    /// pool**, whatever the domain count: all remaining carvable space
     /// becomes up to [`incll_pmem::superblock::MAX_EXTENTS`] fixed-size
     /// power-of-two extents (default [`DEFAULT_EXTENT_BYTES`], shrunk for
-    /// tiny arenas, grown for huge ones), each shard eagerly claims one,
+    /// tiny arenas, grown for huge ones), each domain eagerly claims one,
     /// and further extents are claimed online from the shared durable
-    /// owner table as shards exhaust their chains. The pool claims the
+    /// owner table as domains exhaust their chains. The pool claims the
     /// rest of the arena, so this must be the *last* create-time carver —
     /// carve shared regions (e.g. the external log) first.
     ///
@@ -261,90 +279,70 @@ impl PAlloc {
         arena.pwrite_u64(superblock::SB_PALLOC_HEADS + 16, TOTAL_CLASSES as u64);
         arena.pwrite_u64(superblock::SB_PALLOC_HEADS + 24, ndomains as u64);
 
-        let (pool, frontier, limit, reserve) = if ndomains == 1 {
-            // Single domain: the paper's shared frontier on the legacy
-            // cells — one implicit extent chain spanning the whole arena.
-            arena.pwrite_u64(superblock::SB_ARENA_SPLIT, 0);
-            arena.pwrite_u64(superblock::SB_BUMP, arena.bump());
-            arena.pwrite_u64(superblock::SB_BUMP_INCLL, arena.bump());
-            arena.pwrite_u64(superblock::SB_BUMP_EPOCH, 0);
-            arena.clwb(superblock::SB_BUMP);
-            (None, Vec::new(), Vec::new(), Vec::new())
-        } else {
-            // Size the pool: start at the default extent, shrink while the
-            // pool cannot give every domain an extent, grow while it would
-            // overflow the owner table.
-            let base = (arena.bump() + 63) & !63;
-            let avail = (arena.capacity() as u64).saturating_sub(base);
-            let mut extent_bytes = DEFAULT_EXTENT_BYTES;
-            while extent_bytes > MIN_EXTENT_BYTES && avail / extent_bytes < ndomains as u64 {
-                extent_bytes /= 2;
-            }
-            while avail / extent_bytes > superblock::MAX_EXTENTS as u64 {
-                extent_bytes *= 2;
-            }
-            let count = (avail / extent_bytes).min(superblock::MAX_EXTENTS as u64) as usize;
-            if count < ndomains {
-                return Err(Error::Pmem(incll_pmem::Error::OutOfMemory {
-                    requested: (MIN_EXTENT_BYTES as usize) * ndomains,
-                    capacity: arena.capacity(),
-                }));
-            }
-            let split = arena.carve((extent_bytes * count as u64) as usize, 64)?;
-            arena.pwrite_u64(superblock::SB_ARENA_SPLIT, split);
-            arena.pwrite_u64(superblock::SB_ARENA_REGION_BYTES, extent_bytes);
-            arena.pwrite_u64(superblock::SB_EXTENT_COUNT, count as u64);
-            arena.clwb(superblock::SB_ARENA_SPLIT);
-            let pool = Pool {
-                base: split,
-                extent_bytes,
-                count,
-            };
-            let mut frontier = Vec::with_capacity(ndomains);
-            let mut limit = Vec::with_capacity(ndomains);
-            for d in 0..ndomains {
-                // Eagerly claim extent d for shard d: the claim flushes
-                // itself, so the pool starts with a durable one-extent
-                // chain per shard.
-                let claimed = superblock::claim_extent(arena, d, d);
-                debug_assert!(claimed, "fresh pool extent must be claimable");
-                let start = pool.start(d);
-                frontier.push(AtomicU64::new(start));
-                limit.push(AtomicU64::new(pool.end(d)));
-                arena.pwrite_u64(superblock::shard_bump_off(d), start);
-                arena.pwrite_u64(superblock::shard_bump_incll_off(d), start);
-                arena.pwrite_u64(superblock::shard_bump_epoch_off(d), 0);
-                arena.clwb(superblock::shard_bump_off(d));
-            }
-            let reserve = (0..ndomains).map(|_| Mutex::new(Vec::new())).collect();
-            (Some(pool), frontier, limit, reserve)
+        // Size the pool: start at the default extent, shrink while the
+        // pool cannot give every domain an extent, grow while it would
+        // overflow the owner table.
+        let base = (arena.bump() + 63) & !63;
+        let avail = (arena.capacity() as u64).saturating_sub(base);
+        let mut extent_bytes = DEFAULT_EXTENT_BYTES;
+        while extent_bytes > MIN_EXTENT_BYTES && avail / extent_bytes < ndomains as u64 {
+            extent_bytes /= 2;
+        }
+        while avail / extent_bytes > superblock::MAX_EXTENTS as u64 {
+            extent_bytes *= 2;
+        }
+        let count = (avail / extent_bytes).min(superblock::MAX_EXTENTS as u64) as usize;
+        if count < ndomains {
+            return Err(Error::Pmem(incll_pmem::Error::OutOfMemory {
+                requested: (MIN_EXTENT_BYTES as usize) * ndomains,
+                capacity: arena.capacity(),
+            }));
+        }
+        let split = arena.carve((extent_bytes * count as u64) as usize, 64)?;
+        arena.pwrite_u64(superblock::SB_ARENA_SPLIT, split);
+        arena.pwrite_u64(superblock::SB_ARENA_REGION_BYTES, extent_bytes);
+        arena.pwrite_u64(superblock::SB_EXTENT_COUNT, count as u64);
+        arena.clwb(superblock::SB_ARENA_SPLIT);
+        let pool = Pool {
+            base: split,
+            extent_bytes,
+            count,
         };
+        for d in 0..ndomains {
+            // Eagerly claim extent d for domain d: the claim flushes
+            // itself, so the pool starts with a durable one-extent chain
+            // per domain.
+            let claimed = superblock::claim_extent(arena, d, d);
+            debug_assert!(claimed, "fresh pool extent must be claimable");
+            let start = pool.start(d);
+            arena.pwrite_u64(superblock::shard_bump_off(d), start);
+            arena.pwrite_u64(superblock::shard_bump_incll_off(d), start);
+            arena.pwrite_u64(superblock::shard_bump_epoch_off(d), 0);
+            arena.clwb(superblock::shard_bump_off(d));
+        }
         arena.clwb_range(superblock::SB_PALLOC_HEADS, 32);
         arena.sfence();
-        Ok(PAlloc {
-            inner: Arc::new(Inner {
-                arena: arena.clone(),
+        let this = Self::open_staged(
+            arena,
+            Descriptor {
                 root,
                 nthreads,
                 ndomains,
-                failed_low32: vec![Vec::new(); ndomains],
-                failed_full: vec![Vec::new(); ndomains],
                 pool,
-                frontier,
-                limit,
-                reserve,
-                carve_locks: (0..ndomains).map(|_| Mutex::new(())).collect(),
-            }),
-        })
+            },
+        );
+        for d in 0..ndomains {
+            this.rebuild_chain(d, pool.start(d));
+        }
+        Ok(this)
     }
 
-    /// Reopens a single-domain allocator after a crash. See
+    /// Reopens a one-domain allocator after a crash. See
     /// [`PAlloc::open_sharded`].
     ///
     /// # Panics
     ///
-    /// Panics if the arena carries no allocator root, or if it was created
-    /// with more than one domain.
+    /// As for [`PAlloc::open_sharded`].
     pub fn open(arena: &PArena, exec_epoch: u64) -> Self {
         Self::open_sharded(arena, &[exec_epoch])
     }
@@ -361,100 +359,133 @@ impl PAlloc {
     /// §4.3).
     ///
     /// This is the sequential convenience; parallel per-shard recovery
-    /// uses [`PAlloc::open_staged`] once and then calls
-    /// [`PAlloc::recover_domain`] from one worker per shard.
+    /// validates with [`PAlloc::read_descriptor`], reopens with
+    /// [`PAlloc::open_staged`] and then calls [`PAlloc::recover_domain`]
+    /// from one worker per shard.
     ///
     /// # Panics
     ///
-    /// Panics if the arena carries no allocator root or if
-    /// `exec_epochs.len()` differs from the domain count fixed at create.
+    /// Panics if [`PAlloc::read_descriptor`] rejects the media for
+    /// `exec_epochs.len()` domains.
     pub fn open_sharded(arena: &PArena, exec_epochs: &[u64]) -> Self {
-        let this = Self::open_staged(arena, exec_epochs.len());
+        let desc = Self::read_descriptor(arena, exec_epochs.len())
+            .unwrap_or_else(|e| panic!("cannot reopen the allocator: {e}"));
+        let this = Self::open_staged(arena, desc);
         for (d, &exec) in exec_epochs.iter().enumerate() {
             this.recover_domain(d, exec);
         }
         this
     }
 
-    /// Stage one of recovery: rebuilds the allocator handle from the
-    /// superblock descriptor — domain count, regions, failed-epoch sets —
-    /// **without repairing anything**. Every domain must then be repaired
-    /// exactly once via [`PAlloc::recover_domain`] before it serves
-    /// allocations; distinct domains may be repaired concurrently (each
-    /// repair touches only that domain's head cells, watermark line and
-    /// object headers).
+    /// Reads and validates the allocator descriptor for `ndomains`
+    /// domains, writing nothing, so openers can refuse corrupt media
+    /// before their first write.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::CorruptDescriptor`] naming the first bad word: the domain
+    /// count is not `ndomains`; the extent size is not a power of two of
+    /// at least [`MIN_EXTENT_BYTES`]; the extent count is outside
+    /// `1..=MAX_EXTENTS`; the pool does not lie between the superblock
+    /// and the arena's end; or the head region (a zero thread count or
+    /// base included) does not fit in front of the pool.
+    pub fn read_descriptor(arena: &PArena, ndomains: usize) -> Result<Descriptor, Error> {
+        let corrupt = |field, found| Err(Error::CorruptDescriptor { field, found });
+        let root = arena.pread_u64(superblock::SB_PALLOC_HEADS);
+        let nthreads = arena.pread_u64(superblock::SB_PALLOC_HEADS + 8);
+        let domains = arena.pread_u64(superblock::SB_PALLOC_HEADS + 24);
+        let base = arena.pread_u64(superblock::SB_ARENA_SPLIT);
+        let extent_bytes = arena.pread_u64(superblock::SB_ARENA_REGION_BYTES);
+        let count = arena.pread_u64(superblock::SB_EXTENT_COUNT);
+        if domains != ndomains as u64 {
+            return corrupt("domain count", domains);
+        }
+        if !extent_bytes.is_power_of_two() || extent_bytes < MIN_EXTENT_BYTES {
+            return corrupt("extent size", extent_bytes);
+        }
+        if count == 0 || count > superblock::MAX_EXTENTS as u64 {
+            return corrupt("extent count", count);
+        }
+        let pool_end = extent_bytes
+            .checked_mul(count)
+            .and_then(|bytes| bytes.checked_add(base));
+        if base < superblock::CARVE_START
+            || !base.is_multiple_of(64)
+            || pool_end.is_none_or(|end| end > arena.capacity() as u64)
+        {
+            return corrupt("extent-pool base", base);
+        }
+        // The head cells sit between the superblock and the pool.
+        let room = base - superblock::CARVE_START;
+        let Some(heads) = nthreads
+            .checked_mul((ndomains * TOTAL_CLASSES) as u64 * cell::CELL_BYTES)
+            .filter(|&bytes| nthreads != 0 && bytes <= room)
+        else {
+            return corrupt("thread count", nthreads);
+        };
+        if root < superblock::CARVE_START || !root.is_multiple_of(64) || root > base - heads {
+            return corrupt("head-region base", root);
+        }
+        Ok(Descriptor {
+            root,
+            nthreads: nthreads as usize,
+            ndomains,
+            pool: Pool {
+                base,
+                extent_bytes,
+                count: count as usize,
+            },
+        })
+    }
+
+    /// Stage one of recovery: rebuilds the allocator handle from a
+    /// validated descriptor ([`PAlloc::read_descriptor`]) and the durable
+    /// failed-epoch sets **without repairing anything**. Every domain
+    /// must then be repaired exactly once via [`PAlloc::recover_domain`]
+    /// before it serves allocations; distinct domains may be repaired
+    /// concurrently (each repair touches only that domain's head cells,
+    /// watermark line and object headers).
     ///
     /// The failed-epoch sets are snapshotted here, so the caller must have
     /// recorded every crashed epoch
     /// ([`incll_pmem::superblock::record_failed_epoch_for`]) for **all**
-    /// domains before calling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena carries no allocator root or if `ndomains`
-    /// differs from the domain count fixed at create.
-    pub fn open_staged(arena: &PArena, ndomains: usize) -> Self {
-        let root = arena.pread_u64(superblock::SB_PALLOC_HEADS);
-        let nthreads = arena.pread_u64(superblock::SB_PALLOC_HEADS + 8) as usize;
-        let on_media = (arena.pread_u64(superblock::SB_PALLOC_HEADS + 24) as usize).max(1);
-        assert!(
-            root != 0 && nthreads > 0,
-            "arena has no allocator root; format + create first"
-        );
-        assert_eq!(ndomains, on_media, "one exec epoch per allocator domain");
+    /// domains before calling. [`PAlloc::create_sharded`] builds its
+    /// handle through here too.
+    pub fn open_staged(arena: &PArena, desc: Descriptor) -> Self {
+        let Descriptor {
+            root,
+            nthreads,
+            ndomains,
+            pool,
+        } = desc;
+        // The pool claimed the rest of the arena at create; reflect that
+        // in the transient global frontier.
+        arena.set_bump(pool.end(pool.count - 1));
+        // Frontiers start at the raw durable watermark, and each limit at
+        // its frontier (no active extent yet): recover_domain rolls each
+        // frontier back past its failed epochs and then rebuilds the
+        // extent chain (active limit + reserve) from the owner table.
+        let frontier: Vec<u64> = (0..ndomains)
+            .map(|d| arena.pread_u64(superblock::shard_bump_off(d)))
+            .collect();
         let failed_full: Vec<Vec<u64>> = (0..ndomains)
             .map(|d| superblock::failed_epochs_for(arena, d))
             .collect();
-        let failed_low32: Vec<Vec<u32>> = failed_full
-            .iter()
-            .map(|f| f.iter().map(|&e| e as u32).collect())
-            .collect();
-
-        let (pool, frontier, limit, reserve) = if ndomains == 1 {
-            (None, Vec::new(), Vec::new(), Vec::new())
-        } else {
-            let split = arena.pread_u64(superblock::SB_ARENA_SPLIT);
-            let extent_bytes = arena.pread_u64(superblock::SB_ARENA_REGION_BYTES);
-            let count = arena.pread_u64(superblock::SB_EXTENT_COUNT) as usize;
-            assert!(
-                split != 0 && extent_bytes != 0 && count != 0,
-                "multi-domain allocator without an extent-pool descriptor"
-            );
-            // The pool claimed the rest of the arena at create; reflect
-            // that in the transient global frontier.
-            arena.set_bump(split + extent_bytes * count as u64);
-            let pool = Pool {
-                base: split,
-                extent_bytes,
-                count,
-            };
-            // Frontiers start at the raw durable watermark; recover_domain
-            // rolls each back past its failed epochs and then rebuilds the
-            // extent chain (active limit + reserve) from the owner table.
-            let frontier: Vec<AtomicU64> = (0..ndomains)
-                .map(|d| AtomicU64::new(arena.pread_u64(superblock::shard_bump_off(d))))
-                .collect();
-            let limit = (0..ndomains)
-                .map(|d| AtomicU64::new(frontier[d].load(Ordering::Relaxed)))
-                .collect();
-            let reserve = (0..ndomains).map(|_| Mutex::new(Vec::new())).collect();
-            (Some(pool), frontier, limit, reserve)
-        };
-        if ndomains == 1 {
-            arena.set_bump(arena.pread_u64(superblock::SB_BUMP));
-        }
         PAlloc {
             inner: Arc::new(Inner {
                 arena: arena.clone(),
                 root,
                 nthreads,
                 ndomains,
-                failed_low32,
+                failed_low32: failed_full
+                    .iter()
+                    .map(|f| f.iter().map(|&e| e as u32).collect())
+                    .collect(),
                 failed_full,
                 pool,
-                frontier,
-                limit,
-                reserve,
+                limit: frontier.iter().map(|&f| AtomicU64::new(f)).collect(),
+                frontier: frontier.into_iter().map(AtomicU64::new).collect(),
+                reserve: (0..ndomains).map(|_| Mutex::new(Vec::new())).collect(),
                 carve_locks: (0..ndomains).map(|_| Mutex::new(())).collect(),
             }),
         }
@@ -473,8 +504,7 @@ impl PAlloc {
     pub fn recover_domain(&self, domain: usize, exec_epoch: u64) {
         let arena = &self.inner.arena;
         let failed = &self.inner.failed_full[domain];
-        // Watermark: the InCLL revert, per shard since v4 (a single-domain
-        // allocator's shard-0 triple is the legacy shared one).
+        // Watermark: the InCLL revert, on the domain's own triple.
         let we = arena.pread_u64(superblock::shard_bump_epoch_off(domain));
         if we != 0 && failed.contains(&we) {
             let logged = arena.pread_u64(superblock::shard_bump_incll_off(domain));
@@ -482,12 +512,8 @@ impl PAlloc {
             arena.pwrite_u64_release(superblock::shard_bump_epoch_off(domain), exec_epoch);
         }
         let wm = arena.pread_u64(superblock::shard_bump_off(domain));
-        if self.inner.ndomains == 1 {
-            arena.set_bump(wm);
-        } else {
-            self.inner.frontier[domain].store(wm, Ordering::Relaxed);
-            self.rebuild_chain(domain, wm);
-        }
+        self.inner.frontier[domain].store(wm, Ordering::Relaxed);
+        self.rebuild_chain(domain, wm);
         // Head cells: threads × classes lines of this domain, each against
         // the domain's own failed set.
         for t in 0..self.inner.nthreads {
@@ -513,7 +539,7 @@ impl PAlloc {
     /// rebuild itself is read-only media-wise, so it is byte-identical at
     /// every recovery worker count.
     fn rebuild_chain(&self, domain: usize, frontier: u64) {
-        let pool = self.inner.pool.as_ref().expect("multi-domain pool");
+        let pool = &self.inner.pool;
         let arena = &self.inner.arena;
         let owner = u8::try_from(domain + 1).expect("shard fits the owner byte");
         // Until an owned extent contains the frontier, the shard may not
@@ -535,23 +561,18 @@ impl PAlloc {
         *self.inner.reserve[domain].lock() = reserve;
     }
 
-    /// The extent pool descriptor `(base, extent_bytes, count)`, or `None`
-    /// on a single-domain allocator (which carves from the arena's shared
-    /// frontier). Diagnostics / tests.
-    pub fn extent_pool(&self) -> Option<(u64, u64, usize)> {
-        self.inner
-            .pool
-            .as_ref()
-            .map(|p| (p.base, p.extent_bytes, p.count))
+    /// The extent pool descriptor `(base, extent_bytes, count)`.
+    /// Diagnostics / tests.
+    pub fn extent_pool(&self) -> (u64, u64, usize) {
+        let p = &self.inner.pool;
+        (p.base, p.extent_bytes, p.count)
     }
 
     /// The `[start, end)` spans of every extent currently owned by
-    /// `domain` (ascending), or an empty list on a single-domain
-    /// allocator. Reads the durable owner table. Diagnostics / tests.
+    /// `domain` (ascending). Reads the durable owner table. Diagnostics /
+    /// tests.
     pub fn owned_extents(&self, domain: usize) -> Vec<(u64, u64)> {
-        let Some(pool) = self.inner.pool.as_ref() else {
-            return Vec::new();
-        };
+        let pool = &self.inner.pool;
         let owner = u8::try_from(domain + 1).expect("shard fits the owner byte");
         (0..pool.count)
             .filter(|&i| superblock::extent_owner(&self.inner.arena, i) == owner)
@@ -837,7 +858,7 @@ impl PAlloc {
     /// always precedes any durable frontier value referencing the extent
     /// (frontiers only persist at checkpoint flushes).
     fn activate_next_extent(&self, domain: usize, stride: u64) -> Result<(), Error> {
-        let pool = self.inner.pool.as_ref().expect("multi-domain pool");
+        let pool = &self.inner.pool;
         let idx = {
             let mut reserve = self.inner.reserve[domain].lock();
             if reserve.is_empty() {
@@ -855,7 +876,7 @@ impl PAlloc {
     /// claim CAS flushes itself). Losing a race to another shard just
     /// moves on to the next free index.
     fn claim_free_extent(&self, domain: usize, stride: u64) -> Result<usize, Error> {
-        let pool = self.inner.pool.as_ref().expect("multi-domain pool");
+        let pool = &self.inner.pool;
         let arena = &self.inner.arena;
         for i in 0..pool.count {
             if superblock::extent_owner(arena, i) == 0 && superblock::claim_extent(arena, i, domain)
@@ -883,24 +904,13 @@ impl PAlloc {
         } else {
             16
         };
-        let slab;
-        let objs;
-        {
+        let (slab, objs) = {
             let _g = self.inner.carve_locks[domain].lock();
-            let new_frontier;
-            if self.inner.ndomains == 1 {
-                slab = arena.carve(stride as usize * SLAB_OBJECTS, align as usize)?;
-                objs = SLAB_OBJECTS;
-                new_frontier = arena.bump();
-            } else {
-                // Extents may be smaller than a full slab of the largest
-                // class; carve whatever fits (at least one object) so small
-                // pools never strand extent tails.
-                let (s, n) = self.carve_objects(domain, stride, align, SLAB_OBJECTS)?;
-                slab = s;
-                objs = n;
-                new_frontier = self.inner.frontier[domain].load(Ordering::Relaxed);
-            }
+            // Extents may be smaller than a full slab of the largest class;
+            // carve whatever fits (at least one object) so small pools
+            // never strand extent tails.
+            let carved = self.carve_objects(domain, stride, align, SLAB_OBJECTS)?;
+            let new_frontier = self.inner.frontier[domain].load(Ordering::Relaxed);
             // InCLL-log the domain's durable watermark on its first move
             // this epoch (the paper's flush-free protocol, per shard: the
             // triple shares one cache line and the epoch tag lives on the
@@ -912,7 +922,8 @@ impl PAlloc {
                 arena.stats().add_incll_alloc();
             }
             arena.pwrite_u64_release(superblock::shard_bump_off(domain), new_frontier);
-        }
+            carved
+        };
         // Chain the fresh objects: slab[i].next = slab[i+1]; the last one
         // points at the current free head. Fresh headers need no logging:
         // a crash reverts the head swing and the slab is unreachable.
@@ -1224,7 +1235,7 @@ mod tests {
         // Epoch 1: warm the free list, then checkpoint.
         let warm = alloc.alloc(0, 1, 32).unwrap();
         alloc.free(0, 1, warm, 32);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
         let free_before: Vec<u64> = alloc.free_list(0, class);
@@ -1233,7 +1244,7 @@ mod tests {
         for _ in 0..3 {
             alloc.alloc(0, 2, 32).unwrap();
         }
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(11);
 
         let alloc2 = PAlloc::open(&arena, 3);
@@ -1249,14 +1260,14 @@ mod tests {
         let (arena, alloc) = tracked(1);
         let class = class_for(32).unwrap();
         let x = alloc.alloc(0, 1, 32).unwrap();
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
         let free_before = alloc.free_list(0, class);
 
         // Epoch 2: free x, crash before the boundary.
         alloc.free(0, 2, x, 32);
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(5);
 
         let alloc2 = PAlloc::open(&arena, 3);
@@ -1273,12 +1284,12 @@ mod tests {
         let class = class_for(32).unwrap();
         let x = alloc.alloc(0, 1, 32).unwrap();
         alloc.free(0, 1, x, 32); // freed in epoch 1 (completes below)
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush(); // checkpoint: epoch 1 completed
         alloc.on_epoch_boundary(2);
 
         // Epoch 2 does nothing; crash.
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(6);
 
         let alloc2 = PAlloc::open(&arena, 3);
@@ -1297,23 +1308,22 @@ mod tests {
     #[test]
     fn crash_reverts_watermark() {
         let (arena, alloc) = tracked(1);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
-        let wm_before = arena.pread_u64(superblock::SB_BUMP);
+        let wm_before = arena.pread_u64(superblock::shard_bump_off(0));
 
         // Epoch 2: force slab carving in a class never touched before.
         alloc.alloc(0, 2, 320).unwrap();
-        assert!(arena.bump() > wm_before);
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        assert!(arena.pread_u64(superblock::shard_bump_off(0)) > wm_before);
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(7);
 
         let _alloc2 = PAlloc::open(&arena, 3);
         assert_eq!(
-            arena.pread_u64(superblock::SB_BUMP),
+            arena.pread_u64(superblock::shard_bump_off(0)),
             wm_before,
             "durable watermark must revert to the epoch-start value"
         );
-        assert_eq!(arena.bump(), wm_before);
     }
 
     #[test]
@@ -1326,7 +1336,7 @@ mod tests {
             let a = alloc.alloc(0, 1, 32).unwrap();
             let b = alloc.alloc(0, 1, 32).unwrap();
             alloc.free(0, 1, a, 32);
-            arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+            arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
             arena.global_flush();
             alloc.on_epoch_boundary(2);
             let baseline = alloc.free_list(0, class);
@@ -1337,7 +1347,7 @@ mod tests {
             alloc.free(0, 2, b, 32);
             let _e = alloc.alloc(0, 2, 32).unwrap();
 
-            superblock::record_failed_epoch(&arena, 2).unwrap();
+            superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
             arena.crash_seeded(seed);
             let alloc2 = PAlloc::open(&arena, 3);
             assert_eq!(
@@ -1355,18 +1365,18 @@ mod tests {
         let class = class_for(32).unwrap();
         let a = alloc.alloc(0, 1, 32).unwrap();
         alloc.free(0, 1, a, 32);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
         let baseline = alloc.free_list(0, class);
 
         alloc.alloc(0, 2, 32).unwrap();
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(1);
         // First recovery starts, then crashes again before any checkpoint.
         let alloc2 = PAlloc::open(&arena, 3);
         alloc2.alloc(0, 3, 32).unwrap();
-        superblock::record_failed_epoch(&arena, 3).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 3).unwrap();
         arena.crash_seeded(2);
         let alloc3 = PAlloc::open(&arena, 4);
         assert_eq!(alloc3.free_list(0, class), baseline);
@@ -1407,14 +1417,14 @@ mod tests {
         let class = class_for_aligned64(320).unwrap();
         let warm = alloc.alloc_aligned64(0, 1, 320).unwrap();
         alloc.free_aligned64(0, 1, warm, 320);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 2);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 2);
         arena.global_flush();
         alloc.on_epoch_boundary(2);
         let baseline = alloc.free_list(0, class);
         for _ in 0..5 {
             alloc.alloc_aligned64(0, 2, 320).unwrap();
         }
-        superblock::record_failed_epoch(&arena, 2).unwrap();
+        superblock::record_failed_epoch_for(&arena, 0, 2).unwrap();
         arena.crash_seeded(9);
         let alloc2 = PAlloc::open(&arena, 3);
         assert_eq!(alloc2.free_list(0, class), baseline);
@@ -1451,7 +1461,7 @@ mod tests {
             }
             // Checkpoint the initial state.
             epoch += 1;
-            arena.pwrite_u64(superblock::SB_CUR_EPOCH, epoch);
+            arena.pwrite_u64(superblock::domain_cur_epoch_off(0), epoch);
             arena.global_flush();
             alloc.on_epoch_boundary(epoch);
             let mut checkpoint = live.clone();
@@ -1461,7 +1471,7 @@ mod tests {
                 // records the current (empty) epoch as failed and
                 // re-splices pendings under the next one — the pattern the
                 // full system produces on every reopen.
-                superblock::record_failed_epoch(&arena, epoch).unwrap();
+                superblock::record_failed_epoch_for(&arena, 0, epoch).unwrap();
                 epoch += 1;
                 alloc = PAlloc::open(&arena, epoch);
 
@@ -1475,7 +1485,7 @@ mod tests {
                         alloc.free(0, epoch, doomed_live.swap_remove(at), 32);
                     }
                 }
-                superblock::record_failed_epoch(&arena, epoch).unwrap();
+                superblock::record_failed_epoch_for(&arena, 0, epoch).unwrap();
                 arena.crash_seeded(seed * 100 + round);
 
                 epoch += 1;
@@ -1512,7 +1522,7 @@ mod tests {
                     }
                 }
                 epoch += 1;
-                arena.pwrite_u64(superblock::SB_CUR_EPOCH, epoch);
+                arena.pwrite_u64(superblock::domain_cur_epoch_off(0), epoch);
                 arena.global_flush();
                 alloc.on_epoch_boundary(epoch);
                 checkpoint = live.clone();
@@ -1607,7 +1617,7 @@ mod tests {
     #[test]
     fn multi_domain_extents_are_disjoint_and_every_domain_owns_one() {
         let (_arena, alloc) = tracked_sharded(2, 4);
-        let (base, ext, count) = alloc.extent_pool().unwrap();
+        let (base, ext, count) = alloc.extent_pool();
         assert!(ext.is_power_of_two());
         assert_eq!(base % 64, 0);
         assert!(count >= 4, "pool must fit one extent per domain");
@@ -1638,10 +1648,24 @@ mod tests {
     }
 
     #[test]
-    fn single_domain_allocator_has_no_extent_pool() {
-        let (_a, alloc) = fresh(1);
-        assert_eq!(alloc.extent_pool(), None);
-        assert!(alloc.owned_extents(0).is_empty());
+    fn single_domain_allocator_owns_one_extent_and_grows_by_claiming() {
+        let (arena, alloc) = fresh(1);
+        let (base, ext, count) = alloc.extent_pool();
+        assert!(count > 1, "an 8 MiB arena pools several extents");
+        // Create claimed exactly extent 0 for the only domain.
+        assert_eq!(alloc.owned_extents(0), vec![(base, base + ext)]);
+        assert_eq!(superblock::extent_owner(&arena, 0), 1);
+        assert!((1..count).all(|i| superblock::extent_owner(&arena, i) == 0));
+        // Carving past the first extent claims the next free one.
+        let mut last = 0;
+        while alloc.owned_extents(0).len() == 1 {
+            last = alloc.alloc(0, 1, 4096).unwrap();
+        }
+        assert_eq!(
+            alloc.owned_extents(0),
+            vec![(base, base + ext), (base + ext, base + 2 * ext)]
+        );
+        assert!(last >= base + ext, "the claiming carve lands in extent 1");
     }
 
     #[test]
@@ -1713,7 +1737,7 @@ mod tests {
         let arena = PArena::builder().capacity_bytes(8 << 20).build().unwrap();
         superblock::format(&arena);
         let alloc = PAlloc::create_sharded(&arena, 1, 2).unwrap();
-        let (_base, ext, count) = alloc.extent_pool().unwrap();
+        let (_base, ext, count) = alloc.extent_pool();
         let stride = classes::stride(class_for(4096).unwrap()) as u64;
         let mut got = 0u64;
         let err = loop {
@@ -1757,7 +1781,7 @@ mod tests {
             alloc.alloc_in(0, 1, 6, 4096).unwrap();
         }
         let owners_after_claim: Vec<u8> = {
-            let (_b, _e, count) = alloc.extent_pool().unwrap();
+            let (_b, _e, count) = alloc.extent_pool();
             (0..count)
                 .map(|i| superblock::extent_owner(&arena, i))
                 .collect()
@@ -1770,7 +1794,7 @@ mod tests {
         assert_eq!(arena.pread_u64(superblock::shard_bump_off(1)), wm1);
         // ...but the claim itself survived (flushed at claim time).
         let owners_now: Vec<u8> = {
-            let (_b, _e, count) = alloc2.extent_pool().unwrap();
+            let (_b, _e, count) = alloc2.extent_pool();
             (0..count)
                 .map(|i| superblock::extent_owner(&arena, i))
                 .collect()
@@ -1789,7 +1813,7 @@ mod tests {
             spent += 1;
         }
         let owners_final: Vec<u8> = {
-            let (_b, _e, count) = alloc2.extent_pool().unwrap();
+            let (_b, _e, count) = alloc2.extent_pool();
             (0..count)
                 .map(|i| superblock::extent_owner(&arena, i))
                 .collect()

@@ -6,110 +6,69 @@
 //! they cannot collide, plus the format/open handshake.
 //!
 //! Cache-line discipline matters here: every field group that is protected
-//! by an in-cache-line log (the allocator's bump watermark and free-list
-//! heads) occupies a single dedicated cache line, so the InCLL ordering
-//! argument (§2.1 "granularity") applies.
+//! by an in-cache-line log (each shard's carve-watermark triple) occupies a
+//! single dedicated cache line, so the InCLL ordering argument (§2.1
+//! "granularity") applies.
 //!
 //! Layout (byte offsets from the arena base; line = 64 B):
 //!
-//! | Offset | Line(s)  | Contents |
-//! |--------|----------|----------|
-//! | 0      | 0        | reserved (offset 0 is the null `PPtr`) |
-//! | 64     | 1        | magic, version, shard-0 durable current epoch, shard-0 first epoch of current execution |
-//! | 128    | 2–16     | shard-0 failed-epoch set: count + up to 119 epochs |
-//! | 1088   | 17       | shard-0 allocator bump watermark InCLL triple |
-//! | 1152   | 18       | shard-0 root holder + tree metadata + shard count |
-//! | 1216   | 19       | external-log region descriptor (incl. domain count) |
-//! | 1280   | 20–43    | allocator class heads descriptor + head lines |
-//! | 2816   | 44–59    | shard root-holder table (shards 1..64, 16 B cells) |
-//! | 3840   | 60       | extent-pool descriptor (pool base + extent bytes + extent count) |
-//! | 3904   | 61       | batch next-id word (monotonic durable batch-id allocator) |
-//! | 3968   | 62–63    | batch-commit table: 8 × 16 B (batch id, shard mask) slots |
-//! | 4096   | 64–190   | epoch-domain table: per-shard epoch counters + failed sets (shards 1..64, 128 B cells) |
-//! | 12160  | 190–191  | extent-owner table: one owner byte per extent (up to 128) |
-//! | 12288  | 192–254  | per-shard watermark table: one InCLL triple line per shard 1..64 |
-//! | 16320  | 255      | spare |
-//! | 16384  | —        | start of carvable space |
+//! | Offset | Line(s)   | Contents |
+//! |--------|-----------|----------|
+//! | 0      | 0         | reserved (offset 0 is the null `PPtr`) |
+//! | 64     | 1         | magic, version, tree-init flag, shard count |
+//! | 128    | 2–3       | extent-owner table: one owner byte per extent (up to 128) |
+//! | 256    | 4         | external-log region descriptor (incl. domain count) |
+//! | 320    | 5         | allocator descriptor (head-region base, threads, classes, domains) |
+//! | 384    | 6         | extent-pool descriptor (pool base + extent bytes + extent count) |
+//! | 448    | 7         | batch next-id word (monotonic durable batch-id allocator) |
+//! | 512    | 8–9       | batch-commit table: 8 × 16 B (batch id, shard mask) slots |
+//! | 640    | 10–15     | spare |
+//! | 1024   | 16–31     | root-holder table: 64 × 16 B (holder, logged-epoch tag) |
+//! | 2048   | 32–95     | watermark table: one InCLL triple line per shard |
+//! | 6144   | 96–1119   | epoch-domain table: 64 × 1 KiB cells (epoch pair + failed-epoch set) |
+//! | 71680  | —         | start of carvable space |
 //!
-//! Shard 0's epoch counters, failed-epoch set and watermark triple stay on
-//! the **legacy cells** (offsets 64–1152), so a `shards(1)` store keeps
-//! the pre-domain cell positions; shards 1..63 get a 128-byte cell each in
-//! the domain table (their own durable current/exec epoch pair plus a
-//! smaller failed-epoch set) and — since v4 — a dedicated watermark line
-//! each in the per-shard watermark table, so concurrent slab carves on
-//! different shards never share a cache line.
+//! Every per-shard structure is a uniform table indexed
+//! `base + shard * stride` for `shard in 0..`[`MAX_SHARDS`] — shard 0
+//! included — so a `shards(1)` store and a `shards(64)` store share one
+//! media shape and one code path.
 
 use crate::{Error, PArena, Result};
 
 /// Identifies a formatted InCLL arena.
 pub const MAGIC: u64 = 0x19C1_1C05_A5B1_2019;
-/// On-media format version. Version 6 replaced the static per-shard
-/// region split with the **chunked extent pool**: the carvable space is a
-/// pool of fixed-size extents and shards claim them online from the
-/// durable extent-owner table ([`SB_EXTENT_OWNERS`], descriptor at
-/// [`SB_ARENA_SPLIT`]/[`SB_ARENA_REGION_BYTES`]/[`SB_EXTENT_COUNT`]) — a
-/// v5 split descriptor would be misread as a pool, so v5 media is
-/// rejected like every other foreign version. Version 5 added the
-/// batch-commit table ([`SB_BATCH_NEXT_ID`], [`SB_BATCH_TABLE`]) backing
-/// cross-shard atomic write batches. Version 4 added the per-shard
-/// allocator arenas: the carve-region descriptor, the per-shard
-/// watermark table ([`SB_SHARD_BUMP_TABLE`]) and another [`CARVE_START`]
-/// move. Version 3 added the per-shard epoch-domain table
-/// ([`SB_DOMAIN_TABLE`]); version 2 added the shard table
-/// ([`SB_SHARD_COUNT`], [`shard_root_holder`]); version-1 media has
-/// neither. Older media must be rejected by openers, not reinterpreted.
-pub const VERSION: u64 = 6;
+/// On-media format version. Version 7 gave every shard — shard 0
+/// included — a slot in uniform per-shard tables (root holders, epoch
+/// cells with a [`MAX_FAILED_EPOCHS`]-entry failed set, watermark lines),
+/// retired shard 0's separate cells, and made a one-shard allocator a
+/// one-owner extent pool; the owner table moved to lines 2–3 and
+/// [`CARVE_START`] moved past the larger domain table. Version 6 replaced
+/// the static per-shard region split with the **chunked extent pool**:
+/// the carvable space is a pool of fixed-size extents and shards claim
+/// them online from the durable extent-owner table ([`SB_EXTENT_OWNERS`],
+/// descriptor at [`SB_ARENA_SPLIT`]/[`SB_ARENA_REGION_BYTES`]/
+/// [`SB_EXTENT_COUNT`]). Version 5 added the batch-commit table
+/// ([`SB_BATCH_NEXT_ID`], [`SB_BATCH_TABLE`]) backing cross-shard atomic
+/// write batches. Version 4 added the per-shard allocator arenas and the
+/// per-shard watermark table ([`SB_SHARD_BUMP_TABLE`]). Version 3 added
+/// the per-shard epoch-domain table ([`SB_DOMAIN_TABLE`]); version 2
+/// added the shard table ([`SB_SHARD_COUNT`], [`shard_root_holder`]);
+/// version-1 media has neither. Every older layout places these fields
+/// elsewhere, so openers must reject it, never reinterpret it.
+pub const VERSION: u64 = 7;
 
 /// Offset of the magic word.
 pub const SB_MAGIC: u64 = 64;
 /// Offset of the format version.
 pub const SB_VERSION: u64 = 72;
-/// Offset of shard 0's durable current-epoch word (see `incll-epoch`).
-pub const SB_CUR_EPOCH: u64 = 80;
-/// Offset of shard 0's first-epoch-of-current-execution word.
-pub const SB_EXEC_EPOCH: u64 = 88;
-
-/// Offset of shard 0's failed-epoch count.
-pub const SB_FAILED_CNT: u64 = 128;
-/// Offset of shard 0's failed-epoch array (u64 entries).
-pub const SB_FAILED_ARR: u64 = 136;
-/// Capacity of shard 0's failed-epoch set.
-///
-/// Each entry is one crash survived by this arena since the last completed
-/// checkpoint: completed checkpoints prune the set (see
-/// [`prune_failed_epochs`] and the compaction pass in `incll`'s advance
-/// hooks), so the bound is on crashes *between* checkpoints, not on the
-/// arena's lifetime.
-pub const MAX_FAILED_EPOCHS: usize = 119;
-
-/// Offset of **shard 0's** allocator bump-watermark InCLL triple
-/// (watermark, watermarkInCLL, epoch — one cache line). On a `shards(1)`
-/// store this is the whole arena's single carve frontier (the pre-v4
-/// meaning); under per-shard arenas (v4) it is shard 0's frontier, with
-/// shards 1..63 on [`SB_SHARD_BUMP_TABLE`] lines.
-pub const SB_BUMP: u64 = 1088;
-/// Offset of the logged (epoch-start) watermark.
-pub const SB_BUMP_INCLL: u64 = 1096;
-/// Offset of the watermark log's epoch tag.
-pub const SB_BUMP_EPOCH: u64 = 1104;
-
-/// Offset of the extent-pool base word (v6): the base offset of the
-/// extent pool the allocator carved out of the arena at create time, or 0
-/// on a store whose allocator was created single-domain (one shared
-/// frontier, the paper's exact media shape — a `shards(1)` store keeps a
-/// single implicit extent chain and never touches the pool machinery).
-pub const SB_ARENA_SPLIT: u64 = 3840;
-/// Offset of the bytes-per-extent word (v6; meaningful only when
-/// [`SB_ARENA_SPLIT`] is nonzero). Power of two; extent `i` spans
-/// `[base + i·extent_bytes, base + (i+1)·extent_bytes)`.
-pub const SB_ARENA_REGION_BYTES: u64 = 3848;
-/// Offset of the extent-count word (v6): how many extents the pool holds
-/// (`1..=`[`MAX_EXTENTS`]). Shares line 60 with the other two descriptor
-/// words, so the whole descriptor persists with one write-back.
-pub const SB_EXTENT_COUNT: u64 = 3856;
+/// Offset of tree metadata (initialisation flag).
+pub const SB_TREE_META: u64 = 80;
+/// Offset of the keyspace shard count, fixed at store creation (power of
+/// two, `1..=`[`MAX_SHARDS`]; 0 on media that predates store creation).
+pub const SB_SHARD_COUNT: u64 = 88;
 
 // ---------------------------------------------------------------------
-// Extent-owner table (v6)
+// Extent-owner table
 // ---------------------------------------------------------------------
 
 /// Offset of the extent-owner table: one byte per extent, 0 = free,
@@ -128,7 +87,7 @@ pub const SB_EXTENT_COUNT: u64 = 3856;
 /// **in-doubt claim**: recovery keeps the extent on the owning shard's
 /// reserve chain (extents are never released), with zero media writes,
 /// so the repair is byte-identical at every recovery worker count.
-pub const SB_EXTENT_OWNERS: u64 = 12160;
+pub const SB_EXTENT_OWNERS: u64 = 128;
 /// Maximum number of pool extents (the owner table is two cache lines).
 pub const MAX_EXTENTS: usize = 128;
 
@@ -168,18 +127,47 @@ pub fn claim_extent(arena: &PArena, i: usize, shard: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Batch-commit table (v5)
+// Subsystem descriptors
 // ---------------------------------------------------------------------
 
-/// Offset of the durable next-batch-id word (v5). Monotonic: every
+/// Offset of the external-log region pointer.
+pub const SB_EXTLOG_OFF: u64 = 256;
+/// Offset of the external-log thread-count word.
+pub const SB_EXTLOG_THREADS: u64 = 264;
+/// Offset of the external-log per-slot capacity word.
+pub const SB_EXTLOG_PER_THREAD: u64 = 272;
+/// Offset of the external-log domain-count word (0 reads as 1).
+pub const SB_EXTLOG_DOMAINS: u64 = 280;
+
+/// Offset of the allocator descriptor line: head-region base, thread
+/// count, class count and domain count (one word each, in that order).
+pub const SB_PALLOC_HEADS: u64 = 320;
+
+/// Offset of the extent-pool base word: the base offset of the extent
+/// pool the allocator carved out of the arena at create time.
+pub const SB_ARENA_SPLIT: u64 = 384;
+/// Offset of the bytes-per-extent word. Power of two; extent `i` spans
+/// `[base + i·extent_bytes, base + (i+1)·extent_bytes)`.
+pub const SB_ARENA_REGION_BYTES: u64 = 392;
+/// Offset of the extent-count word: how many extents the pool holds
+/// (`1..=`[`MAX_EXTENTS`]). Shares one line with the other two
+/// descriptor words, so the whole descriptor persists with one
+/// write-back.
+pub const SB_EXTENT_COUNT: u64 = 400;
+
+// ---------------------------------------------------------------------
+// Batch-commit table
+// ---------------------------------------------------------------------
+
+/// Offset of the durable next-batch-id word. Monotonic: every
 /// cross-shard write batch takes the current value and durably bumps it
 /// **before** writing any intent entry, so a batch id on media is never
 /// reissued. Format initialises it to 1 (0 means "no batch" in the
 /// commit table below).
-pub const SB_BATCH_NEXT_ID: u64 = 3904;
+pub const SB_BATCH_NEXT_ID: u64 = 448;
 
-/// Offset of the batch-commit table (v5): [`BATCH_SLOTS`] slots of 16
-/// bytes each — word 0 the batch id (0 = empty slot), word 1 the mask of
+/// Offset of the batch-commit table: [`BATCH_SLOTS`] slots of 16 bytes
+/// each — word 0 the batch id (0 = empty slot), word 1 the mask of
 /// shards the batch touched (bit `s` = shard `s`; [`MAX_SHARDS`] is 64,
 /// so one word suffices).
 ///
@@ -188,7 +176,7 @@ pub const SB_BATCH_NEXT_ID: u64 = 3904;
 /// protocol (mask first, id second, same line) rides the InCLL
 /// same-line-ordering argument: a torn commit leaves the old id, never a
 /// new id with a stale mask.
-pub const SB_BATCH_TABLE: u64 = 3968;
+pub const SB_BATCH_TABLE: u64 = 512;
 /// Number of batch-commit slots. Bounds the batches that can be in-doubt
 /// at once; committers reuse slots once every shard in a slot's mask has
 /// advanced past the batch's intents (see `incll`'s eviction protocol).
@@ -254,27 +242,17 @@ pub fn batch_is_committed(arena: &PArena, batch_id: u64) -> bool {
     batch_id != 0 && (0..BATCH_SLOTS).any(|i| arena.pread_u64(batch_slot_off(i)) == batch_id)
 }
 
-/// Offset of the durable tree-root pointer (a root-holder cell). Under
-/// sharding this is **shard 0's** holder — the legacy single-tree layout
-/// is exactly the `shard_count == 1` case (see [`shard_root_holder`]).
-pub const SB_TREE_ROOT: u64 = 1152;
-/// Offset of the root holder's logged-epoch tag (holders are externally
-/// logged at most once per epoch; the tag enforces it).
-pub const SB_TREE_ROOT_TAG: u64 = 1160;
-/// Offset of tree metadata (initialisation flag).
-pub const SB_TREE_META: u64 = 1168;
-/// Offset of the keyspace shard count, fixed at store creation (power of
-/// two, `1..=`[`MAX_SHARDS`]; 0 on media that predates store creation).
-pub const SB_SHARD_COUNT: u64 = 1176;
+// ---------------------------------------------------------------------
+// Per-shard tables
+// ---------------------------------------------------------------------
 
-/// Offset of the shard root-holder table: one 16-byte holder/tag cell per
-/// shard **after the first** (shard 0 keeps the legacy
-/// [`SB_TREE_ROOT`]/[`SB_TREE_ROOT_TAG`] pair, so a 1-shard store is
-/// byte-identical to the pre-shard layout outside the version and count
-/// words).
-pub const SB_SHARD_TABLE: u64 = 2816;
-/// Maximum shard count (the table holds `MAX_SHARDS - 1` cells).
+/// Maximum shard count: every per-shard table has this many entries.
 pub const MAX_SHARDS: usize = 64;
+
+/// Offset of the root-holder table: one 16-byte holder/tag cell per
+/// shard (the holder word, then its logged-epoch tag — holders are
+/// externally logged at most once per epoch; the tag enforces it).
+pub const SB_SHARD_TABLE: u64 = 1024;
 
 /// The superblock offset of shard `i`'s root-holder cell (its logged-epoch
 /// tag lives at `+8`).
@@ -285,122 +263,11 @@ pub const MAX_SHARDS: usize = 64;
 #[inline]
 pub const fn shard_root_holder(i: usize) -> u64 {
     assert!(i < MAX_SHARDS, "shard index out of range");
-    if i == 0 {
-        SB_TREE_ROOT
-    } else {
-        SB_SHARD_TABLE + (i as u64 - 1) * 16
-    }
+    SB_SHARD_TABLE + (i as u64) * 16
 }
 
-/// Offset of the external-log region pointer.
-pub const SB_EXTLOG_OFF: u64 = 1216;
-/// Offset of the external-log thread-count word.
-pub const SB_EXTLOG_THREADS: u64 = 1224;
-/// Offset of the external-log per-slot capacity word.
-pub const SB_EXTLOG_PER_THREAD: u64 = 1232;
-/// Offset of the external-log domain-count word (v3; 0 reads as 1 so
-/// domain-oblivious media stays interpretable).
-pub const SB_EXTLOG_DOMAINS: u64 = 1240;
-
-/// Offset of the first allocator class-head line.
-pub const SB_PALLOC_HEADS: u64 = 1280;
-/// Maximum number of allocator size classes (one line each).
-pub const PALLOC_MAX_CLASSES: usize = 24;
-
-// ---------------------------------------------------------------------
-// Epoch-domain table (v3)
-// ---------------------------------------------------------------------
-
-/// Offset of the epoch-domain table: one [`DOMAIN_CELL_BYTES`] cell per
-/// shard **after the first** (shard 0 keeps the legacy epoch and
-/// failed-set cells, preserving the pre-domain positions for `shards(1)`
-/// media).
-///
-/// Cell layout (byte offsets within the cell):
-///
-/// ```text
-/// +0  durable current epoch    +8  first epoch of current execution
-/// +16 failed-epoch count       +24 failed epochs (up to 13 × u64)
-/// ```
-pub const SB_DOMAIN_TABLE: u64 = 4096;
-/// Bytes per epoch-domain cell (two cache lines).
-pub const DOMAIN_CELL_BYTES: u64 = 128;
-/// Failed-epoch capacity of a non-zero shard's domain cell. Smaller than
-/// shard 0's legacy [`MAX_FAILED_EPOCHS`]; compaction at completed
-/// checkpoints keeps both far from full.
-pub const MAX_FAILED_EPOCHS_SHARD: usize = 13;
-
-#[inline]
-const fn domain_cell(shard: usize) -> u64 {
-    assert!(shard >= 1 && shard < MAX_SHARDS, "domain cell out of range");
-    SB_DOMAIN_TABLE + (shard as u64 - 1) * DOMAIN_CELL_BYTES
-}
-
-/// The offset of shard `i`'s durable current-epoch word.
-///
-/// # Panics
-///
-/// Panics if `i >= MAX_SHARDS`.
-#[inline]
-pub const fn domain_cur_epoch_off(i: usize) -> u64 {
-    if i == 0 {
-        SB_CUR_EPOCH
-    } else {
-        domain_cell(i)
-    }
-}
-
-/// The offset of shard `i`'s first-epoch-of-current-execution word.
-///
-/// # Panics
-///
-/// Panics if `i >= MAX_SHARDS`.
-#[inline]
-pub const fn domain_exec_epoch_off(i: usize) -> u64 {
-    if i == 0 {
-        SB_EXEC_EPOCH
-    } else {
-        domain_cell(i) + 8
-    }
-}
-
-/// The offset of shard `i`'s failed-epoch count word.
-#[inline]
-const fn failed_cnt_off(i: usize) -> u64 {
-    if i == 0 {
-        SB_FAILED_CNT
-    } else {
-        domain_cell(i) + 16
-    }
-}
-
-/// The offset of shard `i`'s failed-epoch array.
-#[inline]
-const fn failed_arr_off(i: usize) -> u64 {
-    if i == 0 {
-        SB_FAILED_ARR
-    } else {
-        domain_cell(i) + 24
-    }
-}
-
-/// The failed-epoch capacity of shard `i`'s set.
-#[inline]
-pub const fn failed_capacity(i: usize) -> usize {
-    if i == 0 {
-        MAX_FAILED_EPOCHS
-    } else {
-        MAX_FAILED_EPOCHS_SHARD
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-shard watermark table (v4)
-// ---------------------------------------------------------------------
-
-/// Offset of the per-shard watermark table: one full cache line per shard
-/// **after the first** (shard 0 keeps the legacy [`SB_BUMP`] triple),
-/// holding that shard's carve-frontier InCLL triple:
+/// Offset of the watermark table: one full cache line per shard, holding
+/// that shard's carve-frontier InCLL triple:
 ///
 /// ```text
 /// +0  watermark    +8  watermarkInCLL    +16 epoch tag
@@ -409,9 +276,8 @@ pub const fn failed_capacity(i: usize) -> usize {
 /// Each shard's triple lives on its own line, so the same-line-ordering
 /// (InCLL) protocol applies per shard and concurrent carves on different
 /// shards never contend on a cache line. The epoch tag is on the owning
-/// shard's **own** timeline — exactly the single-domain watermark
-/// protocol, instantiated once per shard.
-pub const SB_SHARD_BUMP_TABLE: u64 = 12288;
+/// shard's **own** timeline.
+pub const SB_SHARD_BUMP_TABLE: u64 = 2048;
 
 /// The offset of shard `i`'s durable carve watermark.
 ///
@@ -421,11 +287,7 @@ pub const SB_SHARD_BUMP_TABLE: u64 = 12288;
 #[inline]
 pub const fn shard_bump_off(i: usize) -> u64 {
     assert!(i < MAX_SHARDS, "shard index out of range");
-    if i == 0 {
-        SB_BUMP
-    } else {
-        SB_SHARD_BUMP_TABLE + (i as u64 - 1) * 64
-    }
+    SB_SHARD_BUMP_TABLE + (i as u64) * 64
 }
 
 /// The offset of shard `i`'s logged (epoch-start) watermark.
@@ -440,23 +302,76 @@ pub const fn shard_bump_epoch_off(i: usize) -> u64 {
     shard_bump_off(i) + 16
 }
 
-/// First carvable offset (end of the superblock + domain and watermark
-/// tables).
-pub const CARVE_START: u64 = 16384;
+/// Offset of the epoch-domain table: one [`DOMAIN_CELL_BYTES`] cell per
+/// shard.
+///
+/// Cell layout (byte offsets within the cell):
+///
+/// ```text
+/// +0  durable current epoch    +8  first epoch of current execution
+/// +16 failed-epoch count       +24 failed epochs (up to MAX_FAILED_EPOCHS × u64)
+/// ```
+pub const SB_DOMAIN_TABLE: u64 = 6144;
+/// Bytes per epoch-domain cell (16 cache lines).
+pub const DOMAIN_CELL_BYTES: u64 = 1024;
+/// Capacity of each shard's failed-epoch set.
+///
+/// Each entry is one crash survived by the shard since its last completed
+/// checkpoint: completed checkpoints prune the set (see
+/// [`prune_failed_epochs`] and the compaction pass in `incll`'s advance
+/// hooks), so the bound is on crashes *between* checkpoints, not on the
+/// arena's lifetime.
+pub const MAX_FAILED_EPOCHS: usize = 119;
 
-/// Formats a fresh arena: writes magic/version, zeroes all superblock
-/// fields, and flushes the superblock.
+/// The offset of shard `i`'s durable current-epoch word.
+///
+/// # Panics
+///
+/// Panics if `i >= MAX_SHARDS`.
+#[inline]
+pub const fn domain_cur_epoch_off(i: usize) -> u64 {
+    assert!(i < MAX_SHARDS, "shard index out of range");
+    SB_DOMAIN_TABLE + (i as u64) * DOMAIN_CELL_BYTES
+}
+
+/// The offset of shard `i`'s first-epoch-of-current-execution word.
+///
+/// # Panics
+///
+/// Panics if `i >= MAX_SHARDS`.
+#[inline]
+pub const fn domain_exec_epoch_off(i: usize) -> u64 {
+    domain_cur_epoch_off(i) + 8
+}
+
+/// The offset of shard `i`'s failed-epoch count word.
+#[inline]
+const fn failed_cnt_off(i: usize) -> u64 {
+    domain_cur_epoch_off(i) + 16
+}
+
+/// The offset of shard `i`'s failed-epoch array.
+#[inline]
+const fn failed_arr_off(i: usize) -> u64 {
+    domain_cur_epoch_off(i) + 24
+}
+
+/// First carvable offset: the end of the epoch-domain table.
+pub const CARVE_START: u64 = SB_DOMAIN_TABLE + MAX_SHARDS as u64 * DOMAIN_CELL_BYTES;
+
+/// Formats a fresh arena: zeroes all superblock fields, starts every
+/// shard's epoch cells at epoch 1, writes version and magic, and flushes
+/// the superblock.
 ///
 /// Calling `format` on an already-formatted arena wipes it.
 pub fn format(arena: &PArena) {
     // Zero the whole superblock area first (idempotent on fresh arenas).
-    let zeros = [0u8; (CARVE_START - 64) as usize];
-    arena.pwrite_bytes(64, &zeros);
+    arena.pwrite_bytes(64, &vec![0u8; (CARVE_START - 64) as usize]);
     arena.pwrite_u64(SB_VERSION, VERSION);
-    arena.pwrite_u64(SB_CUR_EPOCH, 1);
-    arena.pwrite_u64(SB_EXEC_EPOCH, 1);
-    arena.pwrite_u64(SB_BUMP, CARVE_START);
-    arena.pwrite_u64(SB_BUMP_INCLL, CARVE_START);
+    for i in 0..MAX_SHARDS {
+        arena.pwrite_u64(domain_cur_epoch_off(i), 1);
+        arena.pwrite_u64(domain_exec_epoch_off(i), 1);
+    }
     arena.pwrite_u64(SB_BATCH_NEXT_ID, 1);
     // Magic last: a torn format leaves the arena unformatted.
     arena.pwrite_u64(SB_MAGIC, MAGIC);
@@ -485,36 +400,24 @@ pub fn raw_version(arena: &PArena) -> u64 {
     arena.pread_u64(SB_VERSION)
 }
 
-/// Appends `epoch` to shard 0's durable failed-epoch set. See
-/// [`record_failed_epoch_for`].
-///
-/// # Errors
-///
-/// [`Error::FailedEpochSetFull`] once [`MAX_FAILED_EPOCHS`] crashes have
-/// accumulated without a completed checkpoint.
-pub fn record_failed_epoch(arena: &PArena, epoch: u64) -> Result<()> {
-    record_failed_epoch_for(arena, 0, epoch)
-}
-
 /// Appends `epoch` to shard `shard`'s durable failed-epoch set
 /// (idempotent), flushing the update.
 ///
 /// # Errors
 ///
-/// [`Error::FailedEpochSetFull`] once [`failed_capacity`] crashes have
+/// [`Error::FailedEpochSetFull`] once [`MAX_FAILED_EPOCHS`] crashes have
 /// been recorded for the shard without an intervening completed
 /// checkpoint (which prunes the set).
 pub fn record_failed_epoch_for(arena: &PArena, shard: usize, epoch: u64) -> Result<()> {
-    let cap = failed_capacity(shard);
     let arr = failed_arr_off(shard);
     let cnt_off = failed_cnt_off(shard);
     let cnt = arena.pread_u64(cnt_off) as usize;
-    for i in 0..cnt.min(cap) {
+    for i in 0..cnt.min(MAX_FAILED_EPOCHS) {
         if arena.pread_u64(arr + (i as u64) * 8) == epoch {
             return Ok(()); // already recorded (re-crash during recovery)
         }
     }
-    if cnt >= cap {
+    if cnt >= MAX_FAILED_EPOCHS {
         return Err(Error::FailedEpochSetFull);
     }
     // Entry first, count second: a torn append is invisible.
@@ -527,24 +430,13 @@ pub fn record_failed_epoch_for(arena: &PArena, shard: usize, epoch: u64) -> Resu
     Ok(())
 }
 
-/// Reads shard 0's durable failed-epoch set.
-pub fn failed_epochs(arena: &PArena) -> Vec<u64> {
-    failed_epochs_for(arena, 0)
-}
-
 /// Reads shard `shard`'s durable failed-epoch set.
 pub fn failed_epochs_for(arena: &PArena, shard: usize) -> Vec<u64> {
-    let cap = failed_capacity(shard);
     let arr = failed_arr_off(shard);
-    let cnt = (arena.pread_u64(failed_cnt_off(shard)) as usize).min(cap);
+    let cnt = (arena.pread_u64(failed_cnt_off(shard)) as usize).min(MAX_FAILED_EPOCHS);
     (0..cnt)
         .map(|i| arena.pread_u64(arr + (i as u64) * 8))
         .collect()
-}
-
-/// Returns `true` if `epoch` is in shard 0's durable failed-epoch set.
-pub fn is_failed_epoch(arena: &PArena, epoch: u64) -> bool {
-    failed_epochs(arena).contains(&epoch)
 }
 
 /// Compacts shard `shard`'s durable failed-epoch set, keeping only entries
@@ -597,52 +489,51 @@ mod tests {
 
     #[test]
     fn layout_lines_do_not_collide() {
-        // Field groups that must share a line, and groups that must not.
-        assert_eq!(SB_BUMP / 64, SB_BUMP_INCLL / 64);
-        assert_eq!(SB_BUMP / 64, SB_BUMP_EPOCH / 64);
-        assert_ne!(SB_MAGIC / 64, SB_FAILED_CNT / 64);
-        assert_ne!(SB_BUMP / 64, SB_TREE_ROOT / 64);
-        assert!(SB_FAILED_ARR + (MAX_FAILED_EPOCHS as u64) * 8 <= SB_BUMP);
-        assert!(SB_PALLOC_HEADS + (PALLOC_MAX_CLASSES as u64) * 64 <= SB_SHARD_TABLE);
-        // The shard table must sit past the allocator heads and in front
-        // of the domain table, which in turn fits before the watermark
-        // table, which fits before carvable space.
-        assert!(shard_root_holder(MAX_SHARDS - 1) + 16 <= SB_DOMAIN_TABLE);
-        assert!(
-            domain_cur_epoch_off(MAX_SHARDS - 1) + DOMAIN_CELL_BYTES <= SB_SHARD_BUMP_TABLE,
-            "domain table must fit before the watermark table"
-        );
-        assert!(
-            shard_bump_off(MAX_SHARDS - 1) + 64 <= CARVE_START,
-            "watermark table must fit before carvable space"
-        );
-        // A domain cell must hold its epochs, count and full failed array.
-        assert!(24 + (MAX_FAILED_EPOCHS_SHARD as u64) * 8 <= DOMAIN_CELL_BYTES);
-        // The extent-pool descriptor must not collide with its neighbours,
-        // and all three words must share line 60 (one write-back).
-        assert!(SB_ARENA_SPLIT >= shard_root_holder(MAX_SHARDS - 1) + 16);
-        const { assert!(SB_EXTENT_COUNT + 8 <= SB_BATCH_NEXT_ID) };
-        assert_eq!(SB_ARENA_SPLIT / 64, SB_EXTENT_COUNT / 64);
-        // The extent-owner table owns two dedicated lines between the
-        // domain table and the per-shard watermark table.
+        // The header line holds only create-time words.
+        const { assert!(SB_SHARD_COUNT + 8 <= SB_EXTENT_OWNERS) };
+        assert_eq!(SB_MAGIC / 64, SB_SHARD_COUNT / 64);
+        // The extent-owner table owns two dedicated lines.
         assert_eq!(SB_EXTENT_OWNERS % 64, 0);
-        assert!(domain_cur_epoch_off(MAX_SHARDS - 1) + DOMAIN_CELL_BYTES <= SB_EXTENT_OWNERS);
-        assert!(extent_owner_off(MAX_EXTENTS - 1) < SB_SHARD_BUMP_TABLE);
-        // The batch next-id word and commit table sit between the carve
-        // descriptor and the domain table; each slot's two words share a
-        // line (the commit-ordering requirement).
+        assert_eq!(
+            extent_owner_off(MAX_EXTENTS - 1) + 1,
+            SB_EXTENT_OWNERS + 128
+        );
+        assert!(extent_owner_off(MAX_EXTENTS - 1) < SB_EXTLOG_OFF);
+        // Each descriptor sits on its own line, in front of the batch
+        // words.
+        for (lo, hi) in [
+            (SB_EXTLOG_OFF, SB_EXTLOG_DOMAINS),
+            (SB_PALLOC_HEADS, SB_PALLOC_HEADS + 24),
+            (SB_ARENA_SPLIT, SB_EXTENT_COUNT),
+        ] {
+            assert_eq!(lo % 64, 0);
+            assert_eq!(lo / 64, hi / 64, "descriptor words share one line");
+        }
+        const { assert!(SB_EXTLOG_DOMAINS + 8 <= SB_PALLOC_HEADS) };
+        const { assert!(SB_PALLOC_HEADS + 32 <= SB_ARENA_SPLIT) };
+        const { assert!(SB_EXTENT_COUNT + 8 <= SB_BATCH_NEXT_ID) };
+        // The batch next-id word and commit table sit in front of the
+        // per-shard tables; each slot's two words share a line (the
+        // commit-ordering requirement).
         const { assert!(SB_BATCH_NEXT_ID + 8 <= SB_BATCH_TABLE) };
-        assert!(batch_slot_off(BATCH_SLOTS - 1) + 16 <= SB_DOMAIN_TABLE);
+        assert!(batch_slot_off(BATCH_SLOTS - 1) + 16 <= SB_SHARD_TABLE);
         for i in 0..BATCH_SLOTS {
             assert_eq!(batch_slot_off(i) / 64, (batch_slot_off(i) + 8) / 64);
         }
+        // Holder table, watermark table and domain table follow one
+        // another, and the domain table ends where carvable space starts.
+        assert!(shard_root_holder(MAX_SHARDS - 1) + 16 <= SB_SHARD_BUMP_TABLE);
+        assert!(shard_bump_off(MAX_SHARDS - 1) + 64 <= SB_DOMAIN_TABLE);
+        assert_eq!(
+            domain_cur_epoch_off(MAX_SHARDS - 1) + DOMAIN_CELL_BYTES,
+            CARVE_START
+        );
+        // A domain cell holds its epochs, count and full failed array.
+        const { assert!(24 + (MAX_FAILED_EPOCHS as u64) * 8 <= DOMAIN_CELL_BYTES) };
     }
 
     #[test]
-    fn shard_bump_triples_are_line_exclusive_and_legacy_anchored() {
-        assert_eq!(shard_bump_off(0), SB_BUMP);
-        assert_eq!(shard_bump_incll_off(0), SB_BUMP_INCLL);
-        assert_eq!(shard_bump_epoch_off(0), SB_BUMP_EPOCH);
+    fn shard_bump_triples_are_line_exclusive() {
         let lines: Vec<u64> = (0..MAX_SHARDS).map(|i| shard_bump_off(i) / 64).collect();
         for (i, &l) in lines.iter().enumerate() {
             assert_eq!(shard_bump_off(i) % 64, 0, "triple {i} must start a line");
@@ -657,7 +548,6 @@ mod tests {
 
     #[test]
     fn shard_holder_cells_are_distinct_and_aligned() {
-        assert_eq!(shard_root_holder(0), SB_TREE_ROOT);
         let holders: Vec<u64> = (0..MAX_SHARDS).map(shard_root_holder).collect();
         for (i, &h) in holders.iter().enumerate() {
             assert_eq!(h % 16, 0, "holder {i} must be 16-byte aligned");
@@ -668,13 +558,11 @@ mod tests {
     }
 
     #[test]
-    fn domain_cells_are_distinct_and_legacy_anchored() {
-        assert_eq!(domain_cur_epoch_off(0), SB_CUR_EPOCH);
-        assert_eq!(domain_exec_epoch_off(0), SB_EXEC_EPOCH);
-        assert_eq!(failed_capacity(0), MAX_FAILED_EPOCHS);
-        let cells: Vec<u64> = (1..MAX_SHARDS).map(domain_cur_epoch_off).collect();
+    fn domain_cells_are_distinct_and_line_aligned() {
+        let cells: Vec<u64> = (0..MAX_SHARDS).map(domain_cur_epoch_off).collect();
         for (i, &c) in cells.iter().enumerate() {
             assert_eq!(c % 64, 0, "domain cell {i} must start a cache line");
+            assert_eq!(domain_exec_epoch_off(i), c + 8);
             for &other in &cells[i + 1..] {
                 assert!(other >= c + DOMAIN_CELL_BYTES);
             }
@@ -689,9 +577,9 @@ mod tests {
         assert!(has_magic(&a));
         assert!(is_formatted(&a));
         assert_eq!(raw_version(&a), VERSION);
-        // Pre-extent-pool (v1..v5) superblocks keep their magic but are
-        // no longer "formatted" in the current sense.
-        for stale in [1, 2, 3, 4, 5] {
+        // Older (v1..v6) superblocks keep their magic but are no longer
+        // "formatted" in the current sense.
+        for stale in [1, 2, 3, 4, 5, 6] {
             a.pwrite_u64(SB_VERSION, stale);
             assert!(has_magic(&a));
             assert!(!is_formatted(&a));
@@ -705,21 +593,22 @@ mod tests {
         assert!(!is_formatted(&a));
         format(&a);
         assert!(is_formatted(&a));
-        assert_eq!(a.pread_u64(SB_CUR_EPOCH), 1);
-        assert_eq!(a.pread_u64(SB_BUMP), CARVE_START);
+        for i in 0..MAX_SHARDS {
+            assert_eq!(a.pread_u64(domain_cur_epoch_off(i)), 1);
+            assert_eq!(a.pread_u64(domain_exec_epoch_off(i)), 1);
+        }
+        assert_eq!(a.bump(), CARVE_START);
     }
 
     #[test]
     fn failed_epoch_set_roundtrip() {
         let a = arena();
         format(&a);
-        assert!(failed_epochs(&a).is_empty());
-        record_failed_epoch(&a, 10).unwrap();
-        record_failed_epoch(&a, 12).unwrap();
-        record_failed_epoch(&a, 10).unwrap(); // idempotent
-        assert_eq!(failed_epochs(&a), vec![10, 12]);
-        assert!(is_failed_epoch(&a, 12));
-        assert!(!is_failed_epoch(&a, 11));
+        assert!(failed_epochs_for(&a, 0).is_empty());
+        record_failed_epoch_for(&a, 0, 10).unwrap();
+        record_failed_epoch_for(&a, 0, 12).unwrap();
+        record_failed_epoch_for(&a, 0, 10).unwrap(); // idempotent
+        assert_eq!(failed_epochs_for(&a, 0), vec![10, 12]);
     }
 
     #[test]
@@ -735,31 +624,23 @@ mod tests {
     }
 
     #[test]
-    fn failed_epoch_set_fills_up() {
+    fn every_shards_failed_epoch_set_fills_at_the_same_capacity() {
         let a = arena();
         format(&a);
-        for e in 0..MAX_FAILED_EPOCHS as u64 {
-            record_failed_epoch(&a, e + 100).unwrap();
+        for shard in [0, 1, MAX_SHARDS - 1] {
+            for e in 0..MAX_FAILED_EPOCHS as u64 {
+                record_failed_epoch_for(&a, shard, e + 100).unwrap();
+            }
+            assert!(matches!(
+                record_failed_epoch_for(&a, shard, 5),
+                Err(Error::FailedEpochSetFull)
+            ));
+            // Existing entries still readable and idempotent re-record
+            // still ok.
+            record_failed_epoch_for(&a, shard, 100).unwrap();
+            assert_eq!(failed_epochs_for(&a, shard).len(), MAX_FAILED_EPOCHS);
         }
-        assert!(matches!(
-            record_failed_epoch(&a, 5),
-            Err(Error::FailedEpochSetFull)
-        ));
-        // Existing entries still readable and idempotent re-record still ok.
-        record_failed_epoch(&a, 100).unwrap();
-    }
-
-    #[test]
-    fn shard_failed_epoch_set_fills_at_shard_capacity() {
-        let a = arena();
-        format(&a);
-        for e in 0..MAX_FAILED_EPOCHS_SHARD as u64 {
-            record_failed_epoch_for(&a, 2, e + 100).unwrap();
-        }
-        assert!(matches!(
-            record_failed_epoch_for(&a, 2, 5),
-            Err(Error::FailedEpochSetFull)
-        ));
+        assert!(failed_epochs_for(&a, 2).is_empty(), "cells never overlap");
     }
 
     #[test]
@@ -767,22 +648,22 @@ mod tests {
         let a = arena();
         format(&a);
         for e in [4u64, 7, 9, 12] {
-            record_failed_epoch(&a, e).unwrap();
+            record_failed_epoch_for(&a, 0, e).unwrap();
         }
         prune_failed_epochs(&a, 0, 9);
-        assert_eq!(failed_epochs(&a), vec![9, 12]);
+        assert_eq!(failed_epochs_for(&a, 0), vec![9, 12]);
         // Pruning everything empties the set and re-recording works.
         prune_failed_epochs(&a, 0, u64::MAX);
-        assert!(failed_epochs(&a).is_empty());
-        record_failed_epoch(&a, 20).unwrap();
-        assert_eq!(failed_epochs(&a), vec![20]);
+        assert!(failed_epochs_for(&a, 0).is_empty());
+        record_failed_epoch_for(&a, 0, 20).unwrap();
+        assert_eq!(failed_epochs_for(&a, 0), vec![20]);
     }
 
     #[test]
     fn prune_unblocks_a_full_set() {
         let a = arena();
         format(&a);
-        for e in 0..MAX_FAILED_EPOCHS_SHARD as u64 {
+        for e in 0..MAX_FAILED_EPOCHS as u64 {
             record_failed_epoch_for(&a, 1, e + 10).unwrap();
         }
         assert!(record_failed_epoch_for(&a, 1, 999).is_err());

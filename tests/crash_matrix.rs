@@ -784,7 +784,7 @@ fn run_claim_cell(shards: usize, final_workers: usize) -> ClaimCell {
 
 #[test]
 fn crash_mid_extent_claim_resolves_identically_at_every_worker_count() {
-    for &shards in &[2usize, 4] {
+    for &shards in &[1usize, 2, 4] {
         let mut baseline: Option<ClaimCell> = None;
         for &workers in WORKER_SWEEP {
             let out = run_claim_cell(shards, workers);

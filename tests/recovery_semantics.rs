@@ -208,19 +208,19 @@ fn pre_shard_layout_is_a_typed_error_not_a_reformat() {
 }
 
 #[test]
-fn v1_through_v5_media_fail_typed_without_reformat() {
+fn v1_through_v6_media_fail_typed_without_reformat() {
     use incll_pmem::superblock;
-    // Fabricate pre-v6 superblocks: magic + stale version + plausible
+    // Fabricate older superblocks: magic + stale version + plausible
     // field debris (v3 media is a real shape: per-shard epoch domains but
     // one shared carve frontier and no watermark table; v5 has per-shard
-    // static regions but no extent-owner table). The v6 opener must
-    // return UnsupportedLayout and leave every byte alone — never
-    // "helpfully" reformat over user data.
-    for stale_version in [1u64, 2, 3, 4, 5] {
+    // static regions but no extent-owner table; v6 keeps shard 0 on
+    // separate cells). The v7 opener must return UnsupportedLayout and
+    // leave every byte alone — never "helpfully" reformat over user data.
+    for stale_version in [1u64, 2, 3, 4, 5, 6] {
         let arena = tracked();
         arena.pwrite_u64(superblock::SB_MAGIC, superblock::MAGIC);
         arena.pwrite_u64(superblock::SB_VERSION, stale_version);
-        arena.pwrite_u64(superblock::SB_CUR_EPOCH, 9);
+        arena.pwrite_u64(superblock::domain_cur_epoch_off(0), 9);
         arena.pwrite_u64(superblock::SB_TREE_META, 1);
         arena.pwrite_u64(superblock::SB_SHARD_COUNT, 2);
         let before: Vec<u64> = (0..64u64).map(|i| arena.pread_u64(i * 8 + 64)).collect();
@@ -236,6 +236,131 @@ fn v1_through_v5_media_fail_typed_without_reformat() {
             before, after,
             "v{stale_version}: refused open must not write"
         );
+    }
+}
+
+#[test]
+fn corrupt_allocator_descriptor_fails_typed_without_writing() {
+    use incll_pmem::superblock::{
+        MAX_EXTENTS, SB_ARENA_REGION_BYTES, SB_ARENA_SPLIT, SB_EXTENT_COUNT, SB_PALLOC_HEADS,
+    };
+    const CAPACITY: usize = 16 << 20;
+    let arena = PArena::builder()
+        .capacity_bytes(CAPACITY)
+        .tracked(true)
+        .build()
+        .unwrap();
+    let (store, _) = Store::open(&arena, options()).unwrap();
+    {
+        let sess = store.session().unwrap();
+        store.put_u64(&sess, b"precious", 7);
+        store.checkpoint();
+    }
+    drop(store);
+    let snapshot = || {
+        let mut bytes = vec![0u8; CAPACITY];
+        arena.pread_bytes(0, &mut bytes);
+        bytes
+    };
+    // (words overwritten as (offset, value), field the error must name,
+    // value it must report)
+    type Case = (&'static [(u64, u64)], &'static str, u64);
+    let cases: [Case; 9] = [
+        (&[(SB_PALLOC_HEADS, 0)], "head-region base", 0),
+        (&[(SB_PALLOC_HEADS + 8, 0)], "thread count", 0),
+        // A domain count disagreeing with the one-shard SB_SHARD_COUNT.
+        (&[(SB_PALLOC_HEADS + 24, 2)], "domain count", 2),
+        (&[(SB_ARENA_REGION_BYTES, 3 << 16)], "extent size", 3 << 16),
+        (&[(SB_ARENA_REGION_BYTES, 1 << 15)], "extent size", 1 << 15),
+        (&[(SB_EXTENT_COUNT, 0)], "extent count", 0),
+        (
+            &[(SB_EXTENT_COUNT, MAX_EXTENTS as u64 + 1)],
+            "extent count",
+            MAX_EXTENTS as u64 + 1,
+        ),
+        // The pool would end past the arena's capacity.
+        (
+            &[(SB_ARENA_SPLIT, CAPACITY as u64)],
+            "extent-pool base",
+            CAPACITY as u64,
+        ),
+        // A zeroed descriptor.
+        (
+            &[
+                (SB_PALLOC_HEADS, 0),
+                (SB_PALLOC_HEADS + 8, 0),
+                (SB_PALLOC_HEADS + 24, 0),
+                (SB_ARENA_SPLIT, 0),
+                (SB_ARENA_REGION_BYTES, 0),
+                (SB_EXTENT_COUNT, 0),
+            ],
+            "domain count",
+            0,
+        ),
+    ];
+    for (words, want_field, want_found) in cases {
+        let saved: Vec<u64> = words.iter().map(|&(off, _)| arena.pread_u64(off)).collect();
+        for &(off, bad) in words {
+            arena.pwrite_u64(off, bad);
+        }
+        let before = snapshot();
+        match Store::open(&arena, options()) {
+            Err(Error::CorruptMedia { field, found }) => {
+                assert_eq!((field, found), (want_field, want_found));
+            }
+            other => panic!("{want_field}: expected CorruptMedia, got {other:?}"),
+        }
+        assert!(
+            before == snapshot(),
+            "{want_field}: a refused open must not write a byte"
+        );
+        for (&(off, _), &word) in words.iter().zip(&saved) {
+            arena.pwrite_u64(off, word);
+        }
+    }
+    // Restoring the words brings the store back intact.
+    let (store, _) = Store::open(&arena, options()).unwrap();
+    let sess = store.session().unwrap();
+    assert_eq!(store.get_u64(&sess, b"precious"), Some(7));
+}
+
+#[test]
+fn every_shard_survives_max_failed_epochs_crashes_without_a_checkpoint() {
+    use incll_pmem::superblock::{failed_epochs_for, MAX_FAILED_EPOCHS};
+    // One failed epoch per crash, and no checkpoint ever completes to
+    // prune them: every shard, shard 0 of a one-shard store included,
+    // holds the full set before recovery refuses with a typed error.
+    for shards in [1usize, 4] {
+        let arena = PArena::builder()
+            .capacity_bytes(16 << 20)
+            .tracked(true)
+            .build()
+            .unwrap();
+        let opts = options().shards(shards);
+        let (store, _) = Store::open(&arena, opts.clone()).unwrap();
+        {
+            let sess = store.session().unwrap();
+            store.put_u64(&sess, b"kept", 1);
+            store.checkpoint();
+        }
+        drop(store);
+        for round in 0..MAX_FAILED_EPOCHS as u64 {
+            arena.crash_seeded(round);
+            let (store, report) = Store::open(&arena, opts.clone())
+                .unwrap_or_else(|e| panic!("shards={shards} crash {round}: {e}"));
+            assert_eq!(report.failed_epochs.len(), round as usize + 1);
+            let sess = store.session().unwrap();
+            assert_eq!(store.get_u64(&sess, b"kept"), Some(1));
+            store.put_u64(&sess, b"doomed", round);
+        }
+        for shard in 0..shards {
+            assert_eq!(failed_epochs_for(&arena, shard).len(), MAX_FAILED_EPOCHS);
+        }
+        arena.crash_seeded(999);
+        match Store::open(&arena, opts) {
+            Err(Error::Pmem(incll_pmem::Error::FailedEpochSetFull)) => {}
+            other => panic!("shards={shards}: expected FailedEpochSetFull, got {other:?}"),
+        }
     }
 }
 
@@ -299,7 +424,7 @@ fn failed_epoch_set_compacts_at_checkpoints() {
         store.put_u64(&sess, &(round % 40).to_be_bytes(), 9999);
         store.checkpoint();
         assert!(
-            superblock::failed_epochs(&arena).is_empty(),
+            superblock::failed_epochs_for(&arena, 0).is_empty(),
             "round {round}: the completed checkpoint must prune the set"
         );
         store.put_u64(&sess, b"doomed-tail", round); // dies with the crash
@@ -340,7 +465,7 @@ fn sharded_failed_sets_compact_independently() {
     // Stay inside shard 1's capacity: a shard that *never* completes a
     // checkpoint is still bounded by its set size — compaction needs a
     // completed boundary to anchor to.
-    let rounds = superblock::MAX_FAILED_EPOCHS_SHARD as u64 - 2;
+    let rounds = superblock::MAX_FAILED_EPOCHS as u64 - 2;
     for round in 0..rounds {
         arena.crash_seeded(round + 900);
         let (store, _) = Store::open(&arena, opts.clone()).unwrap();
